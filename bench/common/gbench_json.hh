@@ -118,10 +118,14 @@ runGbenchMain(const std::string &bench, int argc, char **argv,
         const auto &by_counter = reporter.series().at(name);
         for (const auto &[counter, values] : by_counter) {
             MetricSeries m;
-            m.name = counter.empty() ? name + ".seconds_per_iter"
-                                     : name + "." + counter;
+            // Appended in place and move-assigned: g++ 12 reports a
+            // false -Wrestrict on `name + "." + counter` and on
+            // assigning the unit literal directly.
+            m.name = name;
+            m.name += '.';
+            m.name += counter.empty() ? "seconds_per_iter" : counter;
             m.values = values;
-            m.unit = counter.empty() ? "s" : "";
+            m.unit = std::string(counter.empty() ? "s" : "");
             for (const GbenchGate &gate : gates) {
                 if (gate.counter == counter) {
                     m.gate = true;

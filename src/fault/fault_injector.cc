@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -53,13 +52,12 @@ FaultInjector::corruptSnapshot(int cpu, CounterSnapshot &snapshot)
                           span);
             if (raw.counts[i] < previous.counts[i])
                 ++stats_.counterWraps;
+            // Driver-side recovery: reconstruct the delta exactly as
+            // a hardened perfctr read would.
+            snapshot.counts[i] =
+                wrappedCounterDelta(previous.counts[i], raw.counts[i],
+                                    plan_.counterWidthBits);
         }
-        // Driver-side recovery: reconstruct all ten deltas exactly
-        // as a hardened perfctr read would, one lane per event.
-        lanes::wrappedDeltas(snapshot.counts.data(),
-                             raw.counts.data(),
-                             previous.counts.data(), span,
-                             static_cast<size_t>(numPerfEvents));
     }
     for (int e = 0; e < numPerfEvents; ++e) {
         if (unavailable_[static_cast<size_t>(e)]) {

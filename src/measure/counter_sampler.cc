@@ -6,7 +6,6 @@
 #include "measure/counter_sampler.hh"
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -69,8 +68,8 @@ CounterSampler::takeSample()
         irqController_.lifetimeDeviceTotal(),
     };
     std::array<double, 3> irq_delta;
-    lanes::subtract(irq_delta.data(), irq_now.data(), lastIrq_.data(),
-                    irq_now.size());
+    for (size_t i = 0; i < irq_now.size(); ++i)
+        irq_delta[i] = irq_now[i] - lastIrq_[i];
     reading.osInterruptsTotal = irq_delta[0];
     reading.osDiskInterrupts = irq_delta[1];
     reading.osDeviceInterrupts = irq_delta[2];

@@ -48,7 +48,7 @@ SampleTrace::columns() const
         for (int r = 0; r < numRails; ++r)
             columns_.measured[static_cast<size_t>(r)].push_back(
                 s.measured(static_cast<Rail>(r)));
-        // One lane-batched sweep across the CPUs replaces ten; the
+        // One sweep across the CPUs replaces ten; the
         // per-event totals (and therefore the columns) are unchanged.
         const CounterSnapshot totals = s.totalCounts();
         for (int e = 0; e < numPerfEvents; ++e)

@@ -45,19 +45,13 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/checksum.hh"
 #include "measure/trace.hh"
 
 namespace tdp {
 
 /** Current binary trace format version. */
 constexpr uint32_t traceFormatVersion = 1;
-
-/** FNV-1a 64-bit offset basis. */
-constexpr uint64_t fnv1aBasis = 0xcbf29ce484222325ull;
-
-/** FNV-1a 64-bit hash of a byte range, chainable via `seed`. */
-uint64_t fnv1a64(const void *data, size_t len,
-                 uint64_t seed = fnv1aBasis);
 
 /**
  * Write the trace in the binary format described above.

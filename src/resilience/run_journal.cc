@@ -17,24 +17,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/checksum.hh"
 #include "common/logging.hh"
 
 namespace tdp {
 namespace resilience {
 
 namespace {
-
-/** FNV-1a 64 over a string view (local copy: no measure dependency). */
-uint64_t
-lineHash(const char *data, size_t len)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 /** Percent-escape so the detail stays one whitespace-free token. */
 std::string
@@ -124,7 +113,7 @@ parseRecord(const std::string &line, JournalRecord *out)
     if (std::sscanf(tokens[7].c_str(), "%016" SCNx64, &stored_crc) !=
         1)
         return false;
-    if (lineHash(line.data(), crc_sep) != stored_crc)
+    if (fnv1a64(line.data(), crc_sep) != stored_crc)
         return false;
 
     JournalRecord record;
@@ -162,7 +151,7 @@ formatRecord(const JournalRecord &record)
         record.attempt, escapeDetail(record.detail).c_str());
     body += formatString(" %016llx\n",
                          static_cast<unsigned long long>(
-                             lineHash(body.data(), body.size())));
+                             fnv1a64(body.data(), body.size())));
     return body;
 }
 
