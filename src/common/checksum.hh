@@ -21,6 +21,9 @@ namespace tdp {
 /** FNV-1a 64-bit offset basis. */
 constexpr uint64_t fnv1aBasis = 0xcbf29ce484222325ull;
 
+/** FNV-1a 64-bit prime: hash = (hash ^ byte) * fnv1aPrime per byte. */
+constexpr uint64_t fnv1aPrime = 0x100000001b3ull;
+
 /** FNV-1a 64-bit hash of a byte range, chainable via `seed`. */
 uint64_t fnv1a64(const void *data, size_t len,
                  uint64_t seed = fnv1aBasis);

@@ -30,16 +30,6 @@ hashString(const std::string &s)
     return splitMix64(h);
 }
 
-namespace {
-
-inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(uint64_t seed)
 {
     uint64_t sm = seed;
@@ -52,40 +42,16 @@ Rng::Rng(uint64_t parent_seed, const std::string &stream_name)
 {
 }
 
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 int64_t
 Rng::uniformInt(int64_t lo, int64_t hi)
 {
     if (lo > hi)
         panic("uniformInt: lo (%lld) > hi (%lld)",
               static_cast<long long>(lo), static_cast<long long>(hi));
-    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+    // Unsigned arithmetic throughout: hi - lo and lo + offset
+    // overflow int64_t once the range is wider than INT64_MAX.
+    const uint64_t base = static_cast<uint64_t>(lo);
+    const uint64_t span = static_cast<uint64_t>(hi) - base + 1;
     if (span == 0) // full 64-bit range
         return static_cast<int64_t>(next());
     // Rejection sampling to avoid modulo bias.
@@ -94,16 +60,12 @@ Rng::uniformInt(int64_t lo, int64_t hi)
     do {
         draw = next();
     } while (draw >= limit);
-    return lo + static_cast<int64_t>(draw % span);
+    return static_cast<int64_t>(base + draw % span);
 }
 
 double
-Rng::gaussian()
+Rng::gaussianPair()
 {
-    if (hasSpare_) {
-        hasSpare_ = false;
-        return spare_;
-    }
     double u1, u2;
     do {
         u1 = uniform();
@@ -113,12 +75,6 @@ Rng::gaussian()
     spare_ = mag * std::sin(2.0 * M_PI * u2);
     hasSpare_ = true;
     return mag * std::cos(2.0 * M_PI * u2);
-}
-
-double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
 }
 
 double
@@ -152,7 +108,11 @@ Rng::poisson(double mean)
         const double draw = gaussian(mean, std::sqrt(mean));
         return draw <= 0.0 ? 0 : static_cast<uint64_t>(draw + 0.5);
     }
-    const double limit = std::exp(-mean);
+    if (mean != poissonMean_) {
+        poissonMean_ = mean;
+        poissonLimit_ = std::exp(-mean);
+    }
+    const double limit = poissonLimit_;
     uint64_t count = 0;
     double product = uniform();
     while (product > limit) {

@@ -41,22 +41,55 @@ class Rng
     Rng(uint64_t parent_seed, const std::string &stream_name);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double
+    uniform(double lo, double hi)
+    {
+        return lo + (hi - lo) * uniform();
+    }
 
     /** Uniform integer in [lo, hi] (inclusive). */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
     /** Standard normal via Box-Muller with a cached spare. */
-    double gaussian();
+    double
+    gaussian()
+    {
+        if (hasSpare_) {
+            hasSpare_ = false;
+            return spare_;
+        }
+        return gaussianPair();
+    }
 
     /** Normal with the given mean and standard deviation. */
-    double gaussian(double mean, double sigma);
+    double
+    gaussian(double mean, double sigma)
+    {
+        return mean + sigma * gaussian();
+    }
 
     /** Exponential with the given rate (mean 1/rate). */
     double exponential(double rate);
@@ -72,9 +105,22 @@ class Rng
     uint64_t poisson(double mean);
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /** Box-Muller: return one normal draw and cache the other. */
+    double gaussianPair();
+
     uint64_t s_[4];
     double spare_ = 0.0;
     bool hasSpare_ = false;
+    // Knuth's threshold exp(-mean) for the last small mean drawn;
+    // per-quantum callers repeat the same mean quantum after quantum.
+    double poissonMean_ = 0.0;
+    double poissonLimit_ = 1.0;
 };
 
 } // namespace tdp

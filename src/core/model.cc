@@ -5,6 +5,7 @@
 
 #include "core/model.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -15,11 +16,14 @@ namespace tdp {
 namespace {
 
 /**
- * Streams a trace's regressor rows to the fitters: each row is
- * derived on the fly from the sample's event vector, so no per-fit
- * column copies of the trace are ever materialised. The regressor
- * layout is [x0, x0^2, x1, x1^2, ...] when with_squares is set,
- * matching the models' coefficient order.
+ * Streams a trace's regressor rows to the fitters. The fitters pull
+ * every row at least twice (design fill, goodness of fit), so the
+ * rows are derived from the samples' event vectors once, on the
+ * first row() call, and copied out after that. Deferring that pass
+ * to the first call keeps the fitter's shape and response checks
+ * ahead of any sample-decode failure. The regressor layout is
+ * [x0, x0^2, x1, x1^2, ...] when with_squares is set, matching the
+ * models' coefficient order.
  */
 class TraceDesignSource : public DesignSource
 {
@@ -43,13 +47,11 @@ class TraceDesignSource : public DesignSource
     void
     row(size_t i, double *out) const override
     {
-        const EventVector ev = EventVector::fromSample(trace_[i]);
-        size_t o = 0;
-        for (double CpuEventRates::*field : fields_) {
-            out[o++] = ev.total(field);
-            if (withSquares_)
-                out[o++] = ev.totalSquared(field);
-        }
+        const size_t k = regressorCount();
+        if (rows_.empty())
+            buildRows(k);
+        std::copy_n(rows_.begin() + static_cast<std::ptrdiff_t>(i * k),
+                    k, out);
     }
 
     double
@@ -59,10 +61,29 @@ class TraceDesignSource : public DesignSource
     }
 
   private:
+    /** Derive every sample's regressor row, decoding each once. */
+    void
+    buildRows(size_t k) const
+    {
+        rows_.resize(trace_.size() * k);
+        EventVector ev;
+        double *out = rows_.data();
+        for (const AlignedSample &sample : trace_.samples()) {
+            EventVector::fromSampleInto(sample, ev);
+            for (double CpuEventRates::*field : fields_) {
+                *out++ = ev.total(field);
+                if (withSquares_)
+                    *out++ = ev.totalSquared(field);
+            }
+        }
+    }
+
     const SampleTrace &trace_;
     Rail rail_;
     const std::vector<double CpuEventRates::*> &fields_;
     bool withSquares_;
+    /** Row-major n x k regressors, built by the first row() call. */
+    mutable std::vector<double> rows_;
 };
 
 /**

@@ -24,21 +24,40 @@ Validator::validate(const std::string &workload,
         fatal("Validator: empty trace for workload '%s'",
               workload.c_str());
 
+    // A rail without a model fails before any sample is scored.
+    for (int r = 0; r < numRails; ++r)
+        estimator_.model(static_cast<Rail>(r));
+
+    // Score each sample once: decode it into one reused event vector
+    // and evaluate every rail from it. Each rail still sees the
+    // samples in order, so the per-rail health accounting matches
+    // scoring the rails one column at a time.
+    std::array<std::vector<double>, numRails> modeled;
+    for (std::vector<double> &column : modeled)
+        column.reserve(trace.size());
+    EventVector events;
+    for (const AlignedSample &sample : trace.samples()) {
+        EventVector::fromSampleInto(sample, events);
+        for (int r = 0; r < numRails; ++r)
+            modeled[static_cast<size_t>(r)].push_back(
+                estimator_.estimateRail(events, static_cast<Rail>(r)));
+    }
+
     ValidationResult result;
     result.workload = workload;
     for (int r = 0; r < numRails; ++r) {
         const Rail rail = static_cast<Rail>(r);
-        const std::vector<double> modeled =
-            estimator_.modeledColumn(trace, rail);
         const std::vector<double> &measured =
             trace.measuredColumn(rail);
+        const std::vector<double> &column =
+            modeled[static_cast<size_t>(r)];
         double err;
         uint64_t discarded = 0;
         if (rail == Rail::Disk && diskDcOffset_ > 0.0) {
-            err = averageErrorAboveDc(modeled, measured, diskDcOffset_,
+            err = averageErrorAboveDc(column, measured, diskDcOffset_,
                                       &discarded);
         } else {
-            err = averageError(modeled, measured, &discarded);
+            err = averageError(column, measured, &discarded);
         }
         result.averageError[static_cast<size_t>(r)] = err;
         result.discardedPairs[static_cast<size_t>(r)] = discarded;

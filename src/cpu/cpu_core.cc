@@ -134,8 +134,12 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     const double v2 = v * v;
     const double gating =
         presence_total > 0.0 ? gating_weight / presence_total : 0.0;
+    if (active != powActive_) {
+        powActive_ = active;
+        powActiveValue_ = std::pow(active, 0.90);
+    }
     const double dynamic =
-        params_.activePower * std::pow(active, 0.90) * (1.0 - gating) +
+        params_.activePower * powActiveValue_ * (1.0 - gating) +
         params_.powerPerUopPerCycle * (uops_per_cycle + spec_uops_rate);
     Watts power = params_.haltedPower * v2 + dynamic * s * v2;
     power += rng_.gaussian(0.0, params_.powerNoiseSigma);

@@ -167,6 +167,11 @@ class CpuCore
     Watts lastPower_ = 0.0;
     double lastActiveFraction_ = 0.0;
     double lastUopsPerCycle_ = 0.0;
+    // pow(active, 0.90) of the last active fraction; fully busy and
+    // fully idle cores repeat it quantum after quantum. pow(1, y) is
+    // exactly 1, so the seed value is a true entry.
+    double powActive_ = 1.0;
+    double powActiveValue_ = 1.0;
 };
 
 } // namespace tdp

@@ -92,6 +92,15 @@ class RailChannel
     Watts filtered_ = 0.0;
     double bias_ = 0.0;
     bool primed_ = false;
+
+    // Per-step constants of the last (dt, conversions) request; the
+    // DAQ asks with the same pair every quantum. dt > 0 always, so
+    // the zero key never matches.
+    Seconds stepDt_ = 0.0;
+    int stepConversions_ = 0;
+    double filterAlpha_ = 0.0;
+    double biasKick_ = 0.0;
+    double adcSigma_ = 0.0;
 };
 
 } // namespace tdp

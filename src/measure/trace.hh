@@ -74,6 +74,9 @@ class SampleTrace
         columnsValid_ = false;
     }
 
+    /** Reserve storage for n samples. */
+    void reserve(size_t n) { samples_.reserve(n); }
+
     /** The samples, in time order. */
     const std::vector<AlignedSample> &samples() const { return samples_; }
 

@@ -5,8 +5,10 @@
 
 #include "measure/trace_io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -35,11 +37,19 @@ appendDouble(std::string &out, double value)
     appendLe(out, bits);
 }
 
-/** Cursor over a byte buffer; all reads are bounds-checked. */
+/**
+ * Bounds-checked little-endian cursor over a byte buffer that folds
+ * every byte it consumes into a running FNV-1a 64 hash, so a payload
+ * is decoded and checksummed in one pass. The hash's serial multiply
+ * chain is the slower half; the decode work hides behind it.
+ */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    ByteReader(const unsigned char *data, size_t size)
+        : pos_(data), end_(data + size)
+    {
+    }
 
     bool
     ok() const
@@ -50,7 +60,14 @@ class ByteReader
     size_t
     remaining() const
     {
-        return bytes_.size() - pos_;
+        return static_cast<size_t>(end_ - pos_);
+    }
+
+    /** FNV-1a 64 of every byte consumed so far. */
+    uint64_t
+    hash() const
+    {
+        return hash_;
     }
 
     template <typename T>
@@ -62,11 +79,13 @@ class ByteReader
             return T{};
         }
         T value{};
+        uint64_t hash = hash_;
         for (size_t i = 0; i < sizeof(T); ++i) {
-            value |= static_cast<T>(
-                         static_cast<unsigned char>(bytes_[pos_ + i]))
-                     << (8 * i);
+            const unsigned char byte = pos_[i];
+            value |= static_cast<T>(byte) << (8 * i);
+            hash = (hash ^ byte) * fnv1aPrime;
         }
+        hash_ = hash;
         pos_ += sizeof(T);
         return value;
     }
@@ -80,11 +99,48 @@ class ByteReader
         return value;
     }
 
+    /** Fold the bytes not yet consumed into the hash, undecoded. */
+    void
+    hashRest()
+    {
+        hash_ = fnv1a64(pos_, remaining(), hash_);
+        pos_ = end_;
+    }
+
   private:
-    const std::string &bytes_;
-    size_t pos_ = 0;
+    const unsigned char *pos_;
+    const unsigned char *end_;
+    uint64_t hash_ = fnv1aBasis;
     bool ok_ = true;
 };
+
+/** Smallest encoded sample: the fixed fields and a zero CPU count. */
+constexpr size_t minSampleBytes = 8 * (5 + numRails) + 4;
+
+/**
+ * Decode one sample from the payload. Returns nullptr on success,
+ * else the reason the payload cannot be a well-formed trace.
+ */
+const char *
+decodeSample(ByteReader &body, AlignedSample &s)
+{
+    s.time = body.readDouble();
+    s.interval = body.readDouble();
+    s.osInterruptsTotal = body.readDouble();
+    s.osDiskInterrupts = body.readDouble();
+    s.osDeviceInterrupts = body.readDouble();
+    for (int r = 0; r < numRails; ++r)
+        s.measuredWatts[static_cast<size_t>(r)] = body.readDouble();
+    const uint32_t cpu_count = body.readLe<uint32_t>();
+    if (cpu_count > 4096)
+        return "implausible per-sample CPU count";
+    s.perCpu.resize(cpu_count);
+    for (uint32_t c = 0; c < cpu_count; ++c)
+        for (int e = 0; e < numPerfEvents; ++e)
+            s.perCpu[c].counts[static_cast<size_t>(e)] =
+                body.readDouble();
+    return body.ok() ? nullptr : "payload shorter than sample count";
+}
 
 bool
 fail(std::string *error, const std::string &reason)
@@ -148,7 +204,8 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
     if (std::memcmp(header.data(), traceMagic, sizeof(traceMagic)) != 0)
         return fail(error, "bad magic (not a binary trace)");
 
-    ByteReader head(header);
+    ByteReader head(reinterpret_cast<const unsigned char *>(header.data()),
+                    header.size());
     head.readLe<uint32_t>(); // magic, already checked
     const uint32_t version = head.readLe<uint32_t>();
     const uint32_t event_count = head.readLe<uint32_t>();
@@ -177,39 +234,36 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
     if (payload_bytes > (1ull << 32))
         return fail(error, "payload length implausibly large");
 
-    std::string payload(static_cast<size_t>(payload_bytes), '\0');
-    is.read(payload.empty() ? nullptr : &payload[0],
-            static_cast<std::streamsize>(payload_bytes));
+    const size_t payload_size = static_cast<size_t>(payload_bytes);
+    const auto payload =
+        std::make_unique_for_overwrite<unsigned char[]>(payload_size);
+    is.read(reinterpret_cast<char *>(payload.get()),
+            static_cast<std::streamsize>(payload_size));
     if (static_cast<uint64_t>(is.gcount()) != payload_bytes)
         return fail(error, "truncated payload");
-    if (fnv1a64(payload.data(), payload.size()) != checksum)
-        return fail(error, "payload checksum mismatch");
 
+    // One pass decodes and checksums. Decoding stops at the first
+    // malformed field, but the checksum still covers every byte and
+    // is checked first: a corrupted payload is reported as such,
+    // never as whatever its flipped bits happened to decode to.
     SampleTrace trace;
-    ByteReader body(payload);
-    for (uint64_t i = 0; i < sample_count; ++i) {
+    trace.reserve(static_cast<size_t>(
+        std::min<uint64_t>(sample_count, payload_size / minSampleBytes)));
+    ByteReader body(payload.get(), payload_size);
+    const char *decode_error = nullptr;
+    for (uint64_t i = 0; i < sample_count && !decode_error; ++i) {
         AlignedSample s;
-        s.time = body.readDouble();
-        s.interval = body.readDouble();
-        s.osInterruptsTotal = body.readDouble();
-        s.osDiskInterrupts = body.readDouble();
-        s.osDeviceInterrupts = body.readDouble();
-        for (int r = 0; r < numRails; ++r)
-            s.measuredWatts[static_cast<size_t>(r)] = body.readDouble();
-        const uint32_t cpu_count = body.readLe<uint32_t>();
-        if (cpu_count > 4096)
-            return fail(error, "implausible per-sample CPU count");
-        s.perCpu.resize(cpu_count);
-        for (uint32_t c = 0; c < cpu_count; ++c)
-            for (int e = 0; e < numPerfEvents; ++e)
-                s.perCpu[c].counts[static_cast<size_t>(e)] =
-                    body.readDouble();
-        if (!body.ok())
-            return fail(error, "payload shorter than sample count");
-        trace.add(std::move(s));
+        decode_error = decodeSample(body, s);
+        if (!decode_error)
+            trace.add(std::move(s));
     }
-    if (body.remaining() != 0)
-        return fail(error, "payload longer than sample count");
+    if (!decode_error && body.remaining() != 0)
+        decode_error = "payload longer than sample count";
+    body.hashRest();
+    if (body.hash() != checksum)
+        return fail(error, "payload checksum mismatch");
+    if (decode_error)
+        return fail(error, decode_error);
 
     out = std::move(trace);
     if (fingerprint)

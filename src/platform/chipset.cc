@@ -22,9 +22,11 @@ ChipsetPower::tickUpdate(Tick /* now */, Tick quantum)
 {
     const Seconds dt = ticksToSeconds(quantum);
     const double tau = params_.wanderTau;
-    wander_ += -wander_ * dt / tau +
-               params_.wanderSigma * std::sqrt(2.0 * dt / tau) *
-                   rng_.gaussian();
+    if (dt != wanderDt_) {
+        wanderDt_ = dt;
+        wanderKick_ = params_.wanderSigma * std::sqrt(2.0 * dt / tau);
+    }
+    wander_ += -wander_ * dt / tau + wanderKick_ * rng_.gaussian();
     lastPower_ = params_.basePower + cpus_.lastChipsetCrosstalk() +
                  wander_;
 }

@@ -53,6 +53,9 @@ class ChipsetPower : public SimObject, public Ticked
     CpuComplex &cpus_;
     Rng rng_;
     double wander_ = 0.0;
+    // sigma * sqrt(2 dt / tau) of the last quantum's dt.
+    Seconds wanderDt_ = 0.0;
+    double wanderKick_ = 0.0;
     Watts lastPower_;
 };
 

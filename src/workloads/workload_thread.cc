@@ -119,9 +119,12 @@ WorkloadThread::commit(double uops, Seconds dt)
     // Slow multiplicative wander (Ornstein-Uhlenbeck around 1.0)
     // models input-dependent variability within a phase.
     const double tau = std::max(0.5, profile_.demandWanderTau);
-    const double sigma = profile_.demandWanderSigma;
-    wander_ += (1.0 - wander_) * dt / tau +
-               sigma * std::sqrt(2.0 * dt / tau) * rng_.gaussian();
+    if (dt != wanderDt_) {
+        wanderDt_ = dt;
+        wanderKick_ =
+            profile_.demandWanderSigma * std::sqrt(2.0 * dt / tau);
+    }
+    wander_ += (1.0 - wander_) * dt / tau + wanderKick_ * rng_.gaussian();
     wander_ = std::clamp(wander_, 0.75, 1.25);
 
     issueIo(dt);

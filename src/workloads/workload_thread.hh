@@ -69,6 +69,10 @@ class WorkloadThread : public ThreadContext
     double dirtyOutstanding_ = 0.0;
     double pendingReadBytes_ = 0.0;
     double wander_ = 1.0;
+    // sigma * sqrt(2 dt / tau) of the last commit's dt (the profile
+    // is fixed for the thread's lifetime; dt > 0 never matches 0).
+    Seconds wanderDt_ = 0.0;
+    double wanderKick_ = 0.0;
     ThreadDemand current_;
     double lifetimeUops_ = 0.0;
     int syncCount_ = 0;

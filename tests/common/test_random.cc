@@ -4,6 +4,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -74,6 +76,34 @@ TEST(Random, UniformIntSingleton)
         EXPECT_EQ(rng.uniformInt(5, 5), 5);
 }
 
+TEST(Random, UniformIntFullSignedRange)
+{
+    // hi - lo does not fit int64_t here; the draw must still land in
+    // range without signed overflow (the sanitizer jobs check that).
+    Rng rng(13);
+    bool negative = false;
+    bool positive = false;
+    for (int i = 0; i < 64; ++i) {
+        const int64_t v = rng.uniformInt(INT64_MIN, INT64_MAX);
+        negative = negative || v < 0;
+        positive = positive || v > 0;
+    }
+    EXPECT_TRUE(negative);
+    EXPECT_TRUE(positive);
+}
+
+TEST(Random, UniformIntRangeWiderThanInt64Max)
+{
+    Rng rng(14);
+    bool upper_half = false;
+    for (int i = 0; i < 1000; ++i) {
+        const int64_t v = rng.uniformInt(-10, INT64_MAX);
+        EXPECT_GE(v, -10);
+        upper_half = upper_half || v > INT64_MAX / 2;
+    }
+    EXPECT_TRUE(upper_half);
+}
+
 TEST(Random, GaussianMoments)
 {
     Rng rng(77);
@@ -121,6 +151,18 @@ TEST(Random, PoissonLargeMeanUsesNormalApprox)
         stats.add(static_cast<double>(rng.poisson(500.0)));
     EXPECT_NEAR(stats.mean(), 500.0, 2.0);
     EXPECT_NEAR(stats.stddev(), std::sqrt(500.0), 1.0);
+}
+
+TEST(Random, PoissonAlternatingMeansMatchRecordedDraws)
+{
+    // exp(-mean) is memoised on the last mean; alternating means
+    // must still draw exactly what the unmemoised generator drew.
+    Rng rng(0x5eed);
+    const double means[] = {0.4, 3.0, 0.4};
+    const uint64_t expected[] = {0, 2, 0, 0, 2, 2, 1, 1,
+                                 0, 0, 2, 1, 0, 2, 2};
+    for (size_t i = 0; i < std::size(expected); ++i)
+        EXPECT_EQ(rng.poisson(means[i % 3]), expected[i]) << "draw " << i;
 }
 
 TEST(Random, PoissonZeroMean)

@@ -3,6 +3,8 @@
  * Tests for the rail sensing chain.
  */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -82,6 +84,31 @@ TEST(RailChannel, BiasWanderIsBoundedInDistribution)
     EXPECT_NEAR(s.mean(), 25.0, 0.05);
     // OU stationary sigma is the configured wander sigma.
     EXPECT_NEAR(s.stddev(), 0.1, 0.05);
+}
+
+TEST(RailChannel, AlternatingStepsMatchRecordedValues)
+{
+    // The per-step constants are cached on (dt, conversions); a
+    // channel sampled with changing steps must reproduce, bit for
+    // bit, the values recorded before the cache existed.
+    RailChannel::Params p;
+    p.quantizationStep = 0.0;
+    p.biasWanderSigma = 0.5;
+    double truth = 40.0;
+    RailChannel rail("r", [&] { return truth += 0.5; }, p, Rng(77));
+    const double dts[] = {1e-3, 2e-3, 1e-3};
+    const int conversions[] = {10, 20, 10};
+    const double expected[] = {
+        0x1.3ff25b9307aafp+5, 0x1.468e4770ef306p+5,
+        0x1.472ed45c89ff1p+5, 0x1.4a46ac08ac072p+5,
+        0x1.4c37e459f10e1p+5, 0x1.507ed55ec2259p+5,
+        0x1.587817e571cbbp+5, 0x1.58cb108147eabp+5,
+        0x1.5c6ae22f786f8p+5,
+    };
+    for (size_t i = 0; i < std::size(expected); ++i)
+        EXPECT_EQ(rail.sampleAverage(dts[i % 3], conversions[i % 3]),
+                  expected[i])
+            << "step " << i;
 }
 
 TEST(RailChannel, NullProviderFatal)

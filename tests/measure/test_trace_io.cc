@@ -183,6 +183,80 @@ TEST(TraceIo, DetectsPayloadCorruption)
     EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
+/** Header length and payload offsets of the binary layout. */
+constexpr size_t headerBytes = 48;
+constexpr size_t payloadBytesField = 32;
+constexpr size_t checksumField = 40;
+/** Sample 0's CPU-count word: after its 5 + numRails doubles. */
+constexpr size_t firstCpuCountWord = headerBytes + 8 * (5 + numRails);
+
+/** Overwrite a little-endian u64 header field. */
+void
+putLe64(std::string &bytes, size_t offset, uint64_t value)
+{
+    for (size_t i = 0; i < 8; ++i)
+        bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+/**
+ * Read @p bytes into a reader target pre-filled with a sentinel
+ * trace; the call must fail with @p reason and leave the target
+ * untouched.
+ */
+void
+expectRejectedUntouched(const std::string &bytes, const char *reason)
+{
+    SampleTrace sentinel;
+    AlignedSample s;
+    s.time = 99.0;
+    s.measuredWatts[2] = 7.5;
+    sentinel.add(s);
+
+    SampleTrace out = sentinel;
+    uint64_t fingerprint = 0x5151;
+    std::string error;
+    std::istringstream is(bytes, std::ios::binary);
+    EXPECT_FALSE(tryReadTraceBinary(is, out, &fingerprint, &error));
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+    EXPECT_TRUE(traceBitIdentical(out, sentinel));
+    EXPECT_EQ(fingerprint, 0x5151u);
+}
+
+TEST(TraceIo, ChecksumOutranksDecodeErrorInCpuCountWord)
+{
+    // A flipped high bit makes sample 0 claim 2^31 CPUs, a decode
+    // error on its own; the checksum mismatch must be what is
+    // reported, since the payload is corrupt, not merely odd.
+    std::string bytes = serialize(pathologicalTrace());
+    bytes[firstCpuCountWord + 3] ^= char(0x80);
+    expectRejectedUntouched(bytes, "checksum");
+}
+
+TEST(TraceIo, ChecksumCatchesMidPayloadDoubleFlip)
+{
+    std::string bytes = serialize(pathologicalTrace());
+    const size_t mid = headerBytes + (bytes.size() - headerBytes) / 2;
+    bytes[mid] ^= 0x01;
+    expectRejectedUntouched(bytes, "checksum");
+}
+
+TEST(TraceIo, RejectsPayloadEndingInsideASample)
+{
+    // Cut inside the last sample. Once as a short stream, once as a
+    // well-formed container (header length and checksum rewritten to
+    // match) whose payload simply stops mid-sample.
+    const std::string full = serialize(pathologicalTrace());
+    const size_t cut = full.size() - 12;
+    expectRejectedUntouched(full.substr(0, cut), "truncated");
+
+    std::string consistent = full.substr(0, cut);
+    const size_t payload = cut - headerBytes;
+    putLe64(consistent, payloadBytesField, payload);
+    putLe64(consistent, checksumField,
+            fnv1a64(consistent.data() + headerBytes, payload));
+    expectRejectedUntouched(consistent, "shorter than sample count");
+}
+
 TEST(TraceIo, DetectsVersionAndMagicMismatch)
 {
     std::string bytes = serialize(pathologicalTrace());
