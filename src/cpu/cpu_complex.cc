@@ -31,6 +31,7 @@ CpuComplex::CpuComplex(System &system, const std::string &name,
         cores_.push_back(std::make_unique<CpuCore>(
             core_name, params_.core, system.makeRng(core_name)));
     }
+    coreInputs_.resize(static_cast<size_t>(params_.coreCount));
     system.addTicked(this, TickPhase::Cpu);
 }
 
@@ -82,14 +83,26 @@ CpuComplex::tickUpdate(Tick /* now */, Tick quantum)
     double hit_weight = 0.0;
     double traffic_weight = 0.0;
 
-    for (int i = 0; i < n; ++i) {
-        CoreQuantumInputs &in = inputsScratch_;
-        scheduler_.runnableOnCore(i, in.threads);
+    // One scheduler pass buckets the runnable threads by core and
+    // snapshots each one's demand before any core executes. A
+    // thread's commit() changes only its own state and demand (never
+    // another thread's, nor the VM pressure), so the snapshot is what
+    // each core would read just before it runs.
+    for (CoreQuantumInputs &in : coreInputs_) {
+        in.threads.clear();
+        in.demands.clear();
         in.stallFactors.clear();
-        for (const ThreadContext *t : in.threads) {
-            in.stallFactors.push_back(
-                vm_.stallFactor(t->demand().memBoundness));
-        }
+    }
+    scheduler_.forEachRunnable([this](int core, ThreadContext *t) {
+        CoreQuantumInputs &in = coreInputs_[static_cast<size_t>(core)];
+        in.threads.push_back(t);
+        in.demands.push_back(t->demand());
+        in.stallFactors.push_back(
+            vm_.stallFactor(in.demands.back().memBoundness));
+    });
+
+    for (int i = 0; i < n; ++i) {
+        CoreQuantumInputs &in = coreInputs_[static_cast<size_t>(i)];
         in.busThrottle = throttle;
         in.kernelUops = kernel_uops;
         in.interrupts = irqController_.pendingForCpu(i);

@@ -82,9 +82,9 @@ class CpuComplex : public SimObject, public Ticked
     IoChipComplex &chips_;
     std::vector<std::unique_ptr<CpuCore>> cores_;
     std::vector<MmioSource> mmioSources_;
-    // Reused each quantum; the runnable set and stall factors keep
-    // their capacity across quanta instead of reallocating per core.
-    CoreQuantumInputs inputsScratch_;
+    // One per core, reused each quantum: the runnable sets, demand
+    // snapshots and stall factors keep their capacity across quanta.
+    std::vector<CoreQuantumInputs> coreInputs_;
     Watts lastPower_ = 0.0;
     Watts lastCrosstalk_ = 0.0;
 };

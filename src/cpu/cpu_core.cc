@@ -21,10 +21,12 @@ CpuCore::CpuCore(std::string name, const Params &params, Rng rng)
 CoreQuantumOutputs
 CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
 {
-    if (inputs.threads.size() != inputs.stallFactors.size()) {
-        panic("CpuCore %s: %zu threads but %zu stall factors",
+    if (inputs.threads.size() != inputs.demands.size() ||
+        inputs.threads.size() != inputs.stallFactors.size()) {
+        panic("CpuCore %s: %zu threads but %zu demands and %zu stall "
+              "factors",
               name_.c_str(), inputs.threads.size(),
-              inputs.stallFactors.size());
+              inputs.demands.size(), inputs.stallFactors.size());
     }
 
     const Seconds dt = ticksToSeconds(quantum);
@@ -37,27 +39,23 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     const double time_share =
         n_threads > 2 ? 2.0 / static_cast<double>(n_threads) : 1.0;
 
-    // Pass 1: effective per-thread fetch rates before the width cap.
-    demandScratch_.resize(n_threads);
-    effScratch_.assign(n_threads, 0.0);
-    std::vector<ThreadDemand> &demands = demandScratch_;
-    std::vector<double> &eff = effScratch_;
-    double total_demand = 0.0;
-    for (size_t i = 0; i < n_threads; ++i) {
-        demands[i] = inputs.threads[i]->demand();
-        const ThreadDemand &d = demands[i];
+    // Effective per-thread fetch rate before the width cap.
+    const auto effective_rate = [&](size_t i) {
+        const ThreadDemand &d = inputs.demands[i];
         double rate = d.uopsPerCycle * d.dutyCycle * time_share *
                       smt_factor * inputs.stallFactors[i];
         // Memory-bound threads lose throughput to bus congestion.
         rate *= 1.0 - d.memBoundness * (1.0 - inputs.busThrottle);
-        eff[i] = std::max(0.0, rate);
-        total_demand += eff[i];
-    }
-    if (total_demand > params_.fetchWidth) {
-        const double scale = params_.fetchWidth / total_demand;
-        for (double &r : eff)
-            r *= scale;
-    }
+        return std::max(0.0, rate);
+    };
+
+    // Pass 1: the summed demand sets the fetch-width cap.
+    double total_demand = 0.0;
+    for (size_t i = 0; i < n_threads; ++i)
+        total_demand += effective_rate(i);
+    const double width_scale = total_demand > params_.fetchWidth
+                                   ? params_.fetchWidth / total_demand
+                                   : 1.0;
 
     // Pass 2: execute and account events.
     const double kernel_uops =
@@ -77,8 +75,8 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     double presence_total = 0.0;
 
     for (size_t i = 0; i < n_threads; ++i) {
-        const ThreadDemand &d = demands[i];
-        const double uops = eff[i] * cycles;
+        const ThreadDemand &d = inputs.demands[i];
+        const double uops = effective_rate(i) * width_scale * cycles;
         const double misses = uops * d.l3MissPerKuop / 1000.0;
         fetched += uops;
         demand_misses += misses;

@@ -27,6 +27,9 @@ struct CoreQuantumInputs
     /** Runnable threads placed on this core (at most SMT width). */
     std::vector<ThreadContext *> threads;
 
+    /** Demand of each thread at the quantum start, parallel to threads. */
+    std::vector<ThreadDemand> demands;
+
     /** Per-thread VM stall factors, parallel to threads. */
     std::vector<double> stallFactors;
 
@@ -160,10 +163,6 @@ class CpuCore
     ClockDomain clock_;
     Rng rng_;
     PerfCounters counters_;
-    // Per-quantum scratch, hoisted so the hot loop reuses capacity
-    // instead of reallocating every quantum.
-    std::vector<ThreadDemand> demandScratch_;
-    std::vector<double> effScratch_;
     Watts lastPower_ = 0.0;
     double lastActiveFraction_ = 0.0;
     double lastUopsPerCycle_ = 0.0;

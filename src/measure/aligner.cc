@@ -9,18 +9,13 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "obs/span_tracer.hh"
 
 namespace tdp {
 
 void
 TraceAligner::drainInto(std::deque<CounterReading> &readings,
-                        SampleTrace &out)
+                        SampleTrace &out, Tick through)
 {
-    obs::TraceSpan span("measure", "align");
-    const uint64_t aligned_before = aligned_;
-    const uint64_t resynced_before = resyncedWindows_;
-
     auto &pulses = daq_.pulses();
     auto &blocks = daq_.blocks();
     const Seconds tolerance =
@@ -29,6 +24,8 @@ TraceAligner::drainInto(std::deque<CounterReading> &readings,
     while (pulses.size() >= 2) {
         const Tick window_start = pulses[0];
         const Tick window_end = pulses[1];
+        if (window_end > through)
+            break;
         if (window_end < window_start)
             panic("TraceAligner: non-monotonic pulses (%llu, %llu)",
                   static_cast<unsigned long long>(window_start),
@@ -134,15 +131,6 @@ TraceAligner::drainInto(std::deque<CounterReading> &readings,
         out.add(std::move(sample));
         ++aligned_;
     }
-
-    // Resyncs are the interesting recovery signal; surface them on
-    // the span next to the windows aligned by this drain.
-    span.arg(resyncedWindows_ > resynced_before ? "resyncs"
-                                                : "windows",
-             resyncedWindows_ > resynced_before
-                 ? static_cast<double>(resyncedWindows_ -
-                                       resynced_before)
-                 : static_cast<double>(aligned_ - aligned_before));
 }
 
 } // namespace tdp

@@ -1,9 +1,16 @@
 /**
  * @file
- * Offline trace alignment (paper section 3.1.2): the single-byte
- * serial pulse recorded by the DAQ marks each counter sampling, and
- * the power samples between two consecutive pulses are averaged to
- * pair with the counter deltas of that window.
+ * Trace alignment (paper section 3.1.2): the single-byte serial
+ * pulse recorded by the DAQ marks each counter sampling, and the
+ * power samples between two consecutive pulses are averaged to pair
+ * with the counter deltas of that window.
+ *
+ * Alignment is online: the rig drains after every pulse, so the DAQ
+ * only holds the blocks of the window or two still awaiting a
+ * reading. Every decision reads only the fronts of the pulse, block
+ * and reading queues, which later arrivals never change, so draining
+ * after every pulse produces the same trace as draining once at the
+ * end of the run.
  *
  * The real pipeline loses pulses, duplicates pulses and drops
  * readings; a naive positional pairing then silently marries window
@@ -21,6 +28,7 @@
 #define TDP_MEASURE_ALIGNER_HH
 
 #include <deque>
+#include <limits>
 
 #include "measure/counter_sampler.hh"
 #include "measure/daq.hh"
@@ -66,9 +74,13 @@ class TraceAligner
      * to the trace. Incomplete trailing windows stay queued;
      * permanently unmatchable leftovers are discarded and counted in
      * the accessors below.
+     *
+     * @param through windows ending after this tick stay queued: the
+     *        DAQ has not yet recorded every block they span.
      */
     void drainInto(std::deque<CounterReading> &readings,
-                   SampleTrace &out);
+                   SampleTrace &out,
+                   Tick through = std::numeric_limits<Tick>::max());
 
     /** Number of windows aligned so far. */
     uint64_t alignedCount() const { return aligned_; }

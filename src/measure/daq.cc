@@ -59,6 +59,7 @@ DataAcquisition::tickUpdate(Tick now, Tick quantum)
         block.watts[static_cast<size_t>(r)] = static_cast<float>(
             rail->sampleAverage(dt, conversions));
     }
+    recordedUntil_ = now + quantum;
     if (faults_) {
         // The rail channels sampled above regardless, so the noise
         // streams stay aligned whether or not this block survives.

@@ -4,10 +4,11 @@
  * configured conversion rate (10 kHz in the paper) and records the
  * synchronisation pulses the target sends over its serial line.
  *
- * To bound memory on hour-long traces, the DAQ stores per-quantum
- * averaged blocks rather than raw conversions; the averaging of the
- * raw 10 kHz stream is performed inside RailChannel with exact noise
- * statistics.
+ * To bound memory, the DAQ stores per-quantum averaged blocks rather
+ * than raw conversions (the averaging of the raw 10 kHz stream is
+ * performed inside RailChannel with exact noise statistics), and the
+ * rig's aligner drains them window by window as pulses land, so the
+ * queues hold about two sampling periods whatever the run length.
  */
 
 #ifndef TDP_MEASURE_DAQ_HH
@@ -81,6 +82,12 @@ class DataAcquisition : public SimObject, public Ticked
     /** Total pulses recorded. */
     uint64_t pulseCount() const { return pulseCount_; }
 
+    /**
+     * End tick of the last quantum sampled: every block starting
+     * before it has been recorded (or dropped by a fault).
+     */
+    Tick recordedUntil() const { return recordedUntil_; }
+
     void tickUpdate(Tick now, Tick quantum) override;
 
   private:
@@ -90,6 +97,7 @@ class DataAcquisition : public SimObject, public Ticked
     std::deque<DaqBlock> blocks_;
     std::deque<Tick> pulses_;
     uint64_t pulseCount_ = 0;
+    Tick recordedUntil_ = 0;
 };
 
 } // namespace tdp

@@ -5,6 +5,7 @@
 
 #include "measure/rig.hh"
 
+#include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
 
 namespace tdp {
@@ -67,21 +68,23 @@ MeasurementRig::MeasurementRig(System &system, const std::string &name,
 void
 MeasurementRig::emitPulse()
 {
-    if (!faults_) {
-        daq_.syncPulse();
-        return;
-    }
-    switch (faults_->pulseFault()) {
+    switch (faults_ ? faults_->pulseFault()
+                    : FaultInjector::PulseFault::None) {
       case FaultInjector::PulseFault::Miss:
-        return;
+        break;
       case FaultInjector::PulseFault::Duplicate:
         deliverPulse();
         deliverPulse();
-        return;
+        break;
       case FaultInjector::PulseFault::None:
         deliverPulse();
-        return;
+        break;
     }
+    // Align online so the DAQ holds a window or two, not the run. The
+    // reading of the window this pulse closes is queued only after
+    // this returns, so that window waits for the next pulse.
+    aligner_.drainInto(sampler_.readings(), trace_,
+                       daq_.recordedUntil());
 }
 
 void
@@ -106,7 +109,20 @@ MeasurementRig::attachRail(Rail rail, std::function<Watts()> provider)
 const SampleTrace &
 MeasurementRig::collect()
 {
+    // One span per collection, not per pulse. Its arg counts the
+    // windows aligned since the previous collection; resyncs are the
+    // interesting recovery signal, so they take precedence.
+    obs::TraceSpan span("measure", "align");
     aligner_.drainInto(sampler_.readings(), trace_);
+    const uint64_t resyncs =
+        aligner_.resyncedWindows() - resyncedAtCollect_;
+    span.arg(resyncs > 0 ? "resyncs" : "windows",
+             static_cast<double>(resyncs > 0
+                                     ? resyncs
+                                     : aligner_.alignedCount() -
+                                           alignedAtCollect_));
+    alignedAtCollect_ = aligner_.alignedCount();
+    resyncedAtCollect_ = aligner_.resyncedWindows();
     return trace_;
 }
 

@@ -3,8 +3,9 @@
  * Measurement rig: the whole instrumentation harness of the paper's
  * methodology section in one object - sense resistors + DAQ on the
  * five rails, the on-target counter sampler with its serial sync
- * pulse, and the offline aligner producing the training/validation
- * trace.
+ * pulse, and the aligner producing the training/validation trace.
+ * Alignment runs online, at every pulse, so the rig holds about two
+ * sampling periods of DAQ blocks whatever the run length.
  */
 
 #ifndef TDP_MEASURE_RIG_HH
@@ -64,11 +65,12 @@ class MeasurementRig : public SimObject
 
     /**
      * Align everything recorded so far and return the trace. Callable
-     * repeatedly; the trace grows monotonically.
+     * repeatedly; the trace grows monotonically. Windows are aligned
+     * as pulses land, so this only flushes the trailing window.
      */
     const SampleTrace &collect();
 
-    /** The trace collected so far (without draining new windows). */
+    /** The trace aligned so far (without flushing the trailing window). */
     const SampleTrace &trace() const { return trace_; }
 
     /** The DAQ (for tests). */
@@ -84,7 +86,7 @@ class MeasurementRig : public SimObject
     void recordStats(obs::StatsRegistry &stats) const override;
 
   private:
-    /** Deliver one sync byte through the fault model. */
+    /** Deliver one sync byte through the fault model, then align. */
     void emitPulse();
 
     /** Record a pulse now or after injected serial latency. */
@@ -95,6 +97,9 @@ class MeasurementRig : public SimObject
     CounterSampler sampler_;
     TraceAligner aligner_;
     SampleTrace trace_;
+    /** Aligner totals at the previous collect(), for its span. */
+    uint64_t alignedAtCollect_ = 0;
+    uint64_t resyncedAtCollect_ = 0;
 };
 
 } // namespace tdp

@@ -62,27 +62,6 @@ Scheduler::threadsOnCore(int core) const
     return out;
 }
 
-std::vector<ThreadContext *>
-Scheduler::runnableOnCore(int core) const
-{
-    std::vector<ThreadContext *> out;
-    runnableOnCore(core, out);
-    return out;
-}
-
-void
-Scheduler::runnableOnCore(int core,
-                          std::vector<ThreadContext *> &out) const
-{
-    out.clear();
-    for (size_t i = 0; i < threads_.size(); ++i) {
-        if (assignedCore_[i] == core &&
-            threads_[i]->state() == ThreadState::Runnable) {
-            out.push_back(threads_[i]);
-        }
-    }
-}
-
 bool
 Scheduler::allFinished() const
 {

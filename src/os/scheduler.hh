@@ -52,16 +52,19 @@ class Scheduler : public SimObject
     /** All threads assigned to a core (any state). */
     std::vector<ThreadContext *> threadsOnCore(int core) const;
 
-    /** Runnable threads on a core this instant. */
-    std::vector<ThreadContext *> runnableOnCore(int core) const;
-
     /**
-     * Fill `out` with the runnable threads on a core (clearing it
-     * first). Allocation-free once `out` has capacity; the per-quantum
-     * CPU path uses this with a reused buffer.
+     * Call visit(core, thread) for every thread runnable this instant,
+     * in attach order: one pass buckets all cores' runnable sets.
      */
-    void runnableOnCore(int core,
-                        std::vector<ThreadContext *> &out) const;
+    template <typename Visit>
+    void
+    forEachRunnable(Visit &&visit) const
+    {
+        for (size_t i = 0; i < threads_.size(); ++i) {
+            if (threads_[i]->state() == ThreadState::Runnable)
+                visit(assignedCore_[i], threads_[i]);
+        }
+    }
 
     /** Number of physical cores. */
     int coreCount() const { return coreCount_; }

@@ -109,7 +109,10 @@ class ThreadContext
 
     /**
      * Account committed execution and let the thread progress: advance
-     * phases, issue file I/O, call sync(), possibly finish.
+     * phases, issue file I/O, call sync(), possibly finish. Changes
+     * only this thread's own state and demand, never another
+     * thread's: the CPU complex snapshots every runnable thread's
+     * demand before any core commits a quantum.
      *
      * @param uops uops actually committed this quantum.
      * @param dt quantum wall time in seconds.

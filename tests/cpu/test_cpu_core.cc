@@ -40,6 +40,8 @@ CoreQuantumInputs
 inputsFor(std::vector<ThreadContext *> threads)
 {
     CoreQuantumInputs in;
+    for (const ThreadContext *t : threads)
+        in.demands.push_back(t->demand());
     in.stallFactors.assign(threads.size(), 1.0);
     in.threads = std::move(threads);
     return in;
@@ -251,6 +253,7 @@ TEST(CpuCore, MismatchedStallFactorsPanic)
     t.start();
     CoreQuantumInputs in;
     in.threads = {&t};
+    in.demands = {t.demand()};
     // stallFactors left empty.
     EXPECT_THROW(core.executeQuantum(in, ticksPerMs), PanicError);
 }

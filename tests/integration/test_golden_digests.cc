@@ -22,13 +22,16 @@ namespace {
 
 /**
  * Simulate `seconds` of `instances` copies of a workload (0 = idle)
- * and return the FNV-1a of the binary trace.
+ * under a measurement fault plan (none by default) and return the
+ * FNV-1a of the binary trace.
  */
 uint64_t
 traceDigest(const std::string &workload, int instances, uint64_t seed,
-            Seconds seconds)
+            Seconds seconds, const FaultPlan &faults = {})
 {
-    Server server(seed);
+    Server::Params params;
+    params.rig.faults = faults;
+    Server server(seed, params);
     if (instances > 0)
         server.runner().launchStaggered(workload, instances, 0.5, 0.25);
     server.run(seconds);
@@ -57,6 +60,15 @@ TEST(GoldenTraceDigest, DiskLoad)
 {
     EXPECT_EQ(traceDigest("diskload", 1, 14, 20.0),
               0x8f69aaaf9d072139ull);
+}
+
+TEST(GoldenTraceDigest, GccAllFaults)
+{
+    // Every measurement fault at once: missed, duplicated and delayed
+    // pulses, dropped readings, dropped and glitched blocks, counter
+    // wrap and unavailable events. Pins the aligner's recovery path.
+    EXPECT_EQ(traceDigest("gcc", 2, 15, 20.0, FaultPlan::allFaults()),
+              0x2151909b6b9367b1ull);
 }
 
 } // namespace

@@ -2,17 +2,23 @@
  * @file
  * Direct-queue tests for the trace aligner's fault recovery: orphan
  * windows/readings, duplicate-pulse merging, resynchronisation after
- * a missed pulse, glitch filtering and the leftover accessors. The
- * DAQ queues are populated by hand so each scenario is exact.
+ * a missed pulse, glitch filtering and the leftover accessors, and
+ * the online drain's equivalence to one drain at the end. The DAQ
+ * queues are populated by hand so each scenario is exact.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "measure/aligner.hh"
+#include "measure/trace_io.hh"
 
 namespace tdp {
 namespace {
@@ -303,6 +309,169 @@ TEST_F(AlignerFaults, AccountingAccumulatesAcrossDrains)
     EXPECT_EQ(aligner_.orphanWindows(), 1u);
     EXPECT_EQ(aligner_.orphanReadings(), 1u);
     EXPECT_EQ(aligner_.resyncedWindows(), 1u);
+}
+
+/** One aligner with its own DAQ queues, fed by hand. */
+struct AlignerLane
+{
+    System system{1};
+    DataAcquisition daq{system, "daq", DataAcquisition::Params{}};
+    TraceAligner aligner{daq};
+    std::deque<CounterReading> readings;
+    SampleTrace trace;
+
+    std::string
+    traceBytes() const
+    {
+        std::ostringstream os(std::ios::binary);
+        writeTraceBinary(os, trace);
+        return os.str();
+    }
+};
+
+TEST(AlignerCadence, DrainAfterEveryPulseEqualsOneDrainAtTheEnd)
+{
+    // One stream with every fault the rig injects: a missed pulse, a
+    // duplicated pulse (immediate and delayed copies), a delayed
+    // pulse, a dropped reading, a dropped block and a glitched block.
+    // Events arrive in simulator order: a 0.1 s block is recorded at
+    // its start, after the events due by then; a read sends its pulse,
+    // the rig drains, and only then is the reading queued.
+    AlignerLane once, online;
+    Tick recorded_until = 0;
+
+    const auto block = [&](Seconds start, int k, int b) {
+        DaqBlock blk;
+        blk.start = secondsToTicks(start);
+        blk.length = secondsToTicks(0.1);
+        for (int r = 0; r < numRails; ++r) {
+            blk.watts[static_cast<size_t>(r)] =
+                static_cast<float>(10 + (7 * k + 3 * b + r) % 11);
+        }
+        if (k == 5 && b == 2)
+            blk.watts[2] = std::numeric_limits<float>::quiet_NaN();
+        recorded_until = blk.start + blk.length;
+        if (k == 3 && b == 4)
+            return; // dropped block: sampled, never recorded
+        once.daq.blocks().push_back(blk);
+        online.daq.blocks().push_back(blk);
+    };
+    const auto pulse = [&](Seconds t) {
+        once.daq.pulses().push_back(secondsToTicks(t));
+        online.daq.pulses().push_back(secondsToTicks(t));
+    };
+
+    std::vector<Seconds> delayed;
+    size_t max_blocks_held = 0;
+    for (int k = 1; k <= 14; ++k) {
+        for (int b = 0; b < 10; ++b) {
+            block((k - 1) + 0.1 * b, k, b);
+            // Delayed pulses land 1-2 ms after their read, once the
+            // block starting at the read has been recorded.
+            if (b == 0) {
+                for (Seconds t : delayed)
+                    pulse(t);
+                delayed.clear();
+            }
+        }
+
+        const Seconds t = k;
+        switch (k) {
+          case 4: // missed pulse
+            break;
+          case 6: // duplicated pulse, both copies immediate
+            pulse(t);
+            pulse(t);
+            break;
+          case 8: // delayed pulse
+            delayed.push_back(t + 0.002);
+            break;
+          case 11: // duplicated pulse, second copy delayed
+            pulse(t);
+            delayed.push_back(t + 0.001);
+            break;
+          default:
+            pulse(t);
+            break;
+        }
+        online.aligner.drainInto(online.readings, online.trace,
+                                 recorded_until);
+        max_blocks_held =
+            std::max(max_blocks_held, online.daq.blocks().size());
+
+        if (k == 9)
+            continue; // dropped reading
+        CounterReading reading;
+        reading.time = t;
+        reading.interval = 1.0;
+        reading.perCpu.resize(1);
+        reading.perCpu[0][PerfEvent::Cycles] = 2.8e9 + k;
+        once.readings.push_back(reading);
+        online.readings.push_back(std::move(reading));
+    }
+    // The online lane aligned as it went and held a few windows.
+    EXPECT_GE(online.trace.size(), 8u);
+    EXPECT_LE(max_blocks_held, 30u);
+
+    once.aligner.drainInto(once.readings, once.trace);
+    online.aligner.drainInto(online.readings, online.trace);
+
+    // Every fault kind was exercised.
+    EXPECT_GE(once.aligner.orphanWindows(), 1u);
+    EXPECT_GE(once.aligner.orphanReadings(), 1u);
+    EXPECT_GE(once.aligner.duplicatePulses(), 2u);
+    EXPECT_GE(once.aligner.resyncedWindows(), 1u);
+    EXPECT_EQ(once.aligner.glitchValuesDiscarded(), 1u);
+
+    EXPECT_EQ(online.trace.size(), once.trace.size());
+    // Compared as a flag: gtest would print both binary blobs.
+    EXPECT_TRUE(online.traceBytes() == once.traceBytes());
+    EXPECT_EQ(online.aligner.alignedCount(),
+              once.aligner.alignedCount());
+    EXPECT_EQ(online.aligner.orphanWindows(),
+              once.aligner.orphanWindows());
+    EXPECT_EQ(online.aligner.orphanReadings(),
+              once.aligner.orphanReadings());
+    EXPECT_EQ(online.aligner.duplicatePulses(),
+              once.aligner.duplicatePulses());
+    EXPECT_EQ(online.aligner.resyncedWindows(),
+              once.aligner.resyncedWindows());
+    EXPECT_EQ(online.aligner.emptyWindows(),
+              once.aligner.emptyWindows());
+    EXPECT_EQ(online.aligner.glitchValuesDiscarded(),
+              once.aligner.glitchValuesDiscarded());
+}
+
+TEST(AlignerCadence, WindowsPastTheRecordedBlocksStayQueued)
+{
+    // A window whose end lies beyond the last recorded block may still
+    // be missing blocks; the bounded drain leaves it for later.
+    AlignerLane lane;
+    for (Seconds t : {0.0, 1.0})
+        lane.daq.pulses().push_back(secondsToTicks(t));
+    CounterReading reading;
+    reading.time = 1.0;
+    reading.interval = 1.0;
+    reading.perCpu.resize(1);
+    lane.readings.push_back(reading);
+    DaqBlock blk;
+    blk.start = 0;
+    blk.length = secondsToTicks(0.5);
+    blk.watts.fill(30.0f);
+    lane.daq.blocks().push_back(blk);
+
+    lane.aligner.drainInto(lane.readings, lane.trace,
+                           secondsToTicks(0.5));
+    EXPECT_EQ(lane.trace.size(), 0u);
+    EXPECT_EQ(lane.daq.pulses().size(), 2u);
+
+    blk.start = secondsToTicks(0.5);
+    blk.watts.fill(50.0f);
+    lane.daq.blocks().push_back(blk);
+    lane.aligner.drainInto(lane.readings, lane.trace,
+                           secondsToTicks(1.0));
+    ASSERT_EQ(lane.trace.size(), 1u);
+    EXPECT_DOUBLE_EQ(lane.trace[0].measuredWatts[0], 40.0);
 }
 
 } // namespace

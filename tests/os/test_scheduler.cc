@@ -3,6 +3,8 @@
  * Tests for the scheduler's placement and launch policies.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -27,6 +29,18 @@ TEST(Scheduler, FillsDistinctCoresFirst)
     EXPECT_EQ(sched.threadsOnCore(0).size(), 2u);
 }
 
+/** The runnable threads bucketed by core, as the CPU complex sees. */
+std::vector<std::vector<ThreadContext *>>
+runnableByCore(const Scheduler &sched)
+{
+    std::vector<std::vector<ThreadContext *>> buckets(
+        static_cast<size_t>(sched.coreCount()));
+    sched.forEachRunnable([&](int core, ThreadContext *t) {
+        buckets[static_cast<size_t>(core)].push_back(t);
+    });
+    return buckets;
+}
+
 TEST(Scheduler, RunnableFiltersByState)
 {
     System sys(1);
@@ -34,10 +48,27 @@ TEST(Scheduler, RunnableFiltersByState)
     StubThread a("a"), b("b");
     sched.launch(&a);
     sched.launch(&b);
-    EXPECT_EQ(sched.runnableOnCore(0).size(), 1u);
+    EXPECT_EQ(runnableByCore(sched)[0].size(), 1u);
     a.setState(ThreadState::Blocked);
-    EXPECT_TRUE(sched.runnableOnCore(0).empty());
-    EXPECT_EQ(sched.runnableOnCore(1).size(), 1u);
+    EXPECT_TRUE(runnableByCore(sched)[0].empty());
+    EXPECT_EQ(runnableByCore(sched)[1].size(), 1u);
+}
+
+TEST(Scheduler, RunnableBucketsKeepAttachOrder)
+{
+    // Five threads on two cores: 0, 2, 4 land on core 0 and 1, 3 on
+    // core 1. Each core's bucket lists its runnable threads in attach
+    // order, which fixes the order their commits run in.
+    System sys(1);
+    Scheduler sched(sys, "sched", 2, 2);
+    StubThread t0("t0"), t1("t1"), t2("t2"), t3("t3"), t4("t4");
+    for (StubThread *t : {&t0, &t1, &t2, &t3, &t4})
+        sched.launch(t);
+    t2.setState(ThreadState::Finished);
+    const auto buckets = runnableByCore(sched);
+    ASSERT_EQ(buckets.size(), 2u);
+    EXPECT_EQ(buckets[0], (std::vector<ThreadContext *>{&t0, &t4}));
+    EXPECT_EQ(buckets[1], (std::vector<ThreadContext *>{&t1, &t3}));
 }
 
 TEST(Scheduler, LaunchAtFiresOnSchedule)
