@@ -51,9 +51,9 @@
 
 #include "common/bench_util.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "common/shutdown.hh"
 #include "measure/trace_io.hh"
-#include "resilience/retry.hh"
-#include "resilience/shutdown.hh"
 #include "stream/service.hh"
 #include "stream/synthetic.hh"
 
@@ -90,13 +90,13 @@ timelineActive()
 void
 pollSignals(const StreamService &service)
 {
-    if (resilience::dumpRequested()) {
+    if (dumpRequested()) {
         if (timelineActive())
             service.writeTimeline(timelineOutPath() + ".sigusr2",
                                   "bm_stream_scale", "sigusr2");
-        resilience::clearDumpRequest();
+        clearDumpRequest();
     }
-    if (!resilience::shutdownRequested())
+    if (!shutdownRequested())
         return;
     if (observabilityEnabled()) {
         service.addManifestSections(runManifest());
@@ -105,7 +105,7 @@ pollSignals(const StreamService &service)
                                   "bm_stream_scale", "sigterm");
         flushObservability();
     }
-    std::exit(resilience::cleanAbortExitCode);
+    std::exit(cleanAbortExitCode);
 }
 
 struct ScaleOptions
@@ -206,20 +206,15 @@ runVerifyPass(const ScaleOptions &opt, int jobs)
             StreamSample sample =
                 fleet.next(c, loadOf(round, c));
             const uint64_t id = sample.client;
-            if (resilience::hashUnit(opt.seed ^ 0xbad0u, id,
-                                     round) < 0.04)
+            if (hashUnit(opt.seed ^ 0xbad0u, id, round) < 0.04)
                 sample.raw.counts[0] = std::nan("");
-            else if (resilience::hashUnit(opt.seed ^ 0xbad1u, id,
-                                          round) < 0.03)
+            else if (hashUnit(opt.seed ^ 0xbad1u, id, round) < 0.03)
                 sample.raw.counts[3] = HUGE_VAL; // +Inf
-            else if (resilience::hashUnit(opt.seed ^ 0xbad2u, id,
-                                          round) < 0.03)
+            else if (hashUnit(opt.seed ^ 0xbad2u, id, round) < 0.03)
                 sample.osDeviceInterrupts = -HUGE_VAL;
-            else if (resilience::hashUnit(opt.seed ^ 0xbad3u, id,
-                                          round) < 0.03)
+            else if (hashUnit(opt.seed ^ 0xbad3u, id, round) < 0.03)
                 sample.raw.counts[6] = -1.0; // out of range
-            else if (resilience::hashUnit(opt.seed ^ 0xbad4u, id,
-                                          round) < 0.03)
+            else if (hashUnit(opt.seed ^ 0xbad4u, id, round) < 0.03)
                 sample.seq = 1; // duplicate/stale sequence
             ++result.offered;
             service.offer(sample);
@@ -615,8 +610,8 @@ int
 main(int argc, char **argv)
 {
     initBench(argc, argv);
-    resilience::installShutdownHandler();
-    resilience::installDumpSignalHandler();
+    installShutdownHandler();
+    installDumpSignalHandler();
     try {
         return runScale(argc, argv);
     } catch (const FatalError &) {

@@ -19,7 +19,7 @@
  *  3. stall    - half the fleet goes silent mid-phase (idle-timeout
  *                eviction) and returns as fresh sessions;
  *  4. poison   - every client turns malicious after its baseline
- *                (chaos-plan style deterministic per-client faults:
+ *                (hash-decided deterministic per-client faults:
  *                NaN counters, duplicate and stale sequence numbers);
  *                the full fleet must end quarantined with the service
  *                still live;
@@ -109,9 +109,9 @@
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "common/shutdown.hh"
 #include "measure/trace_io.hh"
-#include "resilience/retry.hh"
-#include "resilience/shutdown.hh"
 #include "stream/checkpoint.hh"
 #include "stream/service.hh"
 #include "stream/synthetic.hh"
@@ -269,13 +269,13 @@ timelineActive()
 void
 pollSignals(const StreamService &service)
 {
-    if (resilience::dumpRequested()) {
+    if (dumpRequested()) {
         if (timelineActive())
             service.writeTimeline(timelineOutPath() + ".sigusr2",
                                   "bm_stream", "sigusr2");
-        resilience::clearDumpRequest();
+        clearDumpRequest();
     }
-    if (!resilience::shutdownRequested())
+    if (!shutdownRequested())
         return;
     // A SIGTERM drain is exactly the interruption the checkpoints
     // exist for: write one final generation so a later restore
@@ -291,7 +291,7 @@ pollSignals(const StreamService &service)
                                   "sigterm");
         flushObservability();
     }
-    std::exit(resilience::cleanAbortExitCode);
+    std::exit(cleanAbortExitCode);
 }
 
 /**
@@ -373,13 +373,12 @@ phaseConfig(const SweepOptions &opt, size_t workload,
     return cfg;
 }
 
-/** Chaos-plan style deterministic per-(client, round) decision. */
+/** Hash-decided deterministic per-(client, round) fault decision. */
 bool
 chaosHit(uint64_t seed, uint64_t client, uint64_t round,
          double probability)
 {
-    return resilience::hashUnit(seed ^ 0xc4a05u, client, round) <
-           probability;
+    return hashUnit(seed ^ 0xc4a05u, client, round) < probability;
 }
 
 /**
@@ -1062,7 +1061,7 @@ runCheckpointKill(const SweepOptions &opt, int wide)
             plan.killAtTick = static_cast<int64_t>(
                 lo +
                 static_cast<uint64_t>(
-                    resilience::hashUnit(
+                    hashUnit(
                         opt.seed ^ 0x51c4a11u, p,
                         static_cast<uint64_t>(jobsCount)) *
                     static_cast<double>(hi - lo)));
@@ -1447,8 +1446,8 @@ int
 main(int argc, char **argv)
 {
     initBench(argc, argv);
-    resilience::installShutdownHandler();
-    resilience::installDumpSignalHandler();
+    installShutdownHandler();
+    installDumpSignalHandler();
     try {
         return runSweep(argc, argv);
     } catch (const FatalError &) {

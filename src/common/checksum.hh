@@ -1,12 +1,12 @@
 /**
  * @file
  * FNV-1a 64: the one byte hash behind every checksum and content key
- * in the tree (trace and checkpoint containers, journal records, run
- * fingerprints, stream digests and string-derived RNG seeds).
+ * in the tree (trace and checkpoint containers, run fingerprints,
+ * stream digests and string-derived RNG seeds).
  *
  * Every on-disk format stores values computed here, so the function
  * is frozen: changing it would orphan every existing trace-cache
- * entry, journal and checkpoint. tests/common/test_checksum.cc pins
+ * entry and checkpoint. tests/common/test_checksum.cc pins
  * the published vectors and the derived values.
  */
 

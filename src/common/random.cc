@@ -30,6 +30,29 @@ hashString(const std::string &s)
     return splitMix64(h);
 }
 
+uint64_t
+mixHash(uint64_t a, uint64_t b, uint64_t c)
+{
+    // splitmix64 finaliser over a simple combine; good avalanche for
+    // coin flips, no state to share between threads.
+    uint64_t x = a * 0x9e3779b97f4a7c15ull;
+    x ^= b + 0x9e3779b97f4a7c15ull + (x << 6) + (x >> 2);
+    x ^= c + 0xbf58476d1ce4e5b9ull + (x << 6) + (x >> 2);
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return x;
+}
+
+double
+hashUnit(uint64_t a, uint64_t b, uint64_t c)
+{
+    // Top 53 bits -> [0, 1), the standard double mantissa trick.
+    return static_cast<double>(mixHash(a, b, c) >> 11) * 0x1.0p-53;
+}
+
 Rng::Rng(uint64_t seed)
 {
     uint64_t sm = seed;

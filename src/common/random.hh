@@ -24,6 +24,18 @@ uint64_t splitMix64(uint64_t &state);
 uint64_t hashString(const std::string &s);
 
 /**
+ * Stateless hash of three words (a combine followed by the SplitMix64
+ * finaliser). Every deterministic coin flip that must not depend on
+ * draw order - stream client sharding, overload shedding, the trace
+ * cache's retry jitter - hashes its identity through this one
+ * function, so the decision is the same at any worker count.
+ */
+uint64_t mixHash(uint64_t a, uint64_t b, uint64_t c);
+
+/** mixHash mapped to [0, 1). */
+double hashUnit(uint64_t a, uint64_t b, uint64_t c);
+
+/**
  * xoshiro256++ pseudo-random generator with convenience distributions.
  */
 class Rng

@@ -156,7 +156,9 @@ System::runFor(Seconds seconds)
         fatal("System::runFor: negative duration %g", seconds);
     obs::TraceSpan span("sim", "runFor");
     span.arg("sim_seconds", seconds);
-    runUntil(nextQuantumStart_ + secondsToTicks(seconds));
+    // Anchored at the current time so a sub-quantum remainder carries
+    // into the next call.
+    runUntil(events_.now() + secondsToTicks(seconds));
 }
 
 void

@@ -68,8 +68,10 @@ class System
 
     /**
      * Run the simulation for the given number of seconds of simulated
-     * time. May be called repeatedly to extend a run. The first call
-     * invokes startup() on all registered objects.
+     * time, counted from the current time. May be called repeatedly
+     * to extend a run; quanta execute once they fit wholly inside
+     * the elapsed time, so steps shorter than a quantum accumulate.
+     * The first call invokes startup() on all registered objects.
      */
     void runFor(Seconds seconds);
 

@@ -6,7 +6,7 @@
 #include "stream/flat_index.hh"
 
 #include "common/logging.hh"
-#include "resilience/retry.hh"
+#include "common/random.hh"
 
 namespace tdp {
 namespace stream {
@@ -36,9 +36,7 @@ FlatClientIndex::FlatClientIndex(size_t capacityHint)
 size_t
 FlatClientIndex::homeOf(uint64_t client) const
 {
-    return static_cast<size_t>(
-               resilience::mixHash(client, indexSaltA, 0)) &
-           mask_;
+    return static_cast<size_t>(mixHash(client, indexSaltA, 0)) & mask_;
 }
 
 uint32_t

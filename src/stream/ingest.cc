@@ -8,7 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "resilience/retry.hh"
+#include "common/random.hh"
 #include "stream/checkpoint.hh"
 
 namespace tdp {
@@ -60,7 +60,7 @@ int
 ShardedIngest::shardOf(uint64_t client) const
 {
     return static_cast<int>(
-        resilience::mixHash(config_.seed, client, shardSalt) %
+        mixHash(config_.seed, client, shardSalt) %
         static_cast<uint64_t>(config_.shards));
 }
 
@@ -85,8 +85,8 @@ ShardedIngest::offer(uint64_t tick, const StreamSample &sample)
         const double p =
             static_cast<double>(occupancy - config_.highWatermark + 1) /
             span;
-        if (resilience::hashUnit(config_.seed ^ shedSalt,
-                                 sample.client, sample.seq) < p) {
+        if (hashUnit(config_.seed ^ shedSalt, sample.client,
+                     sample.seq) < p) {
             ++stats_.shed;
             return Admission::Shed;
         }

@@ -7,7 +7,7 @@
  *
  *  - above the high watermark, samples are *shed* with a probability
  *    that ramps linearly toward the ring capacity. The coin flip is
- *    resilience::hashUnit(seed, client, seq) - a pure function of the
+ *    hashUnit(seed, client, seq) - a pure function of the
  *    sample's identity - so the exact same samples are shed whatever
  *    the worker count or wall-clock interleaving, and an overload run
  *    reproduces bit for bit;

@@ -20,9 +20,9 @@
  *  - zero-cycle windows (no progress - the event-rate derivation
  *    would divide by zero).
  *
- * A client that keeps failing validation is *quarantined*, mirroring
- * the PR 5 task quarantine: its samples are refused at the door until
- * idle eviction forgets the session. Memory stays bounded either way.
+ * A client that keeps failing validation is *quarantined*: its
+ * samples are refused at the door until idle eviction forgets the
+ * session. Memory stays bounded either way.
  */
 
 #ifndef TDP_STREAM_SESSION_HH

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,10 +17,10 @@
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "measure/trace_io.hh"
 #include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
-#include "resilience/retry.hh"
 
 namespace tdp {
 
@@ -27,24 +28,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Shared retry shape for transient cache I/O (satellite of PR 5). */
-resilience::RetryPolicy
-cacheRetryPolicy(uint64_t fingerprint)
-{
-    resilience::RetryPolicy policy;
-    policy.maxAttempts = 3;
-    policy.baseDelay = 0.002;
-    policy.maxDelay = 0.02;
-    policy.jitterFrac = 0.25;
-    policy.seed = fingerprint;
-    return policy;
-}
+/**
+ * Bounded retry for transient cache I/O (an entry that exists but
+ * will not open, a publish that fails): attempts in all, and the
+ * backoff before the first retry, which doubles per failed attempt.
+ */
+constexpr int cacheAttempts = 3;
+constexpr Seconds cacheBaseDelay = 0.002;
+
+/**
+ * Jitter amplitude: each delay is scaled by a factor in
+ * [1 - f, 1 + f) hashed from the fingerprint, so workers retrying
+ * different entries at once do not wake in lockstep.
+ */
+constexpr double cacheJitterFrac = 0.25;
 
 void
-backoffSleep(const resilience::RetryPolicy &policy, int failed_attempt,
-             uint64_t key)
+backoffSleep(int failed_attempt, uint64_t fingerprint)
 {
-    const Seconds delay = policy.delayFor(failed_attempt, key);
+    Seconds delay = std::ldexp(cacheBaseDelay, failed_attempt - 1);
+    const double unit = hashUnit(fingerprint, fingerprint,
+                                 static_cast<uint64_t>(failed_attempt));
+    delay *= 1.0 + cacheJitterFrac * (2.0 * unit - 1.0);
     std::this_thread::sleep_for(std::chrono::microseconds(
         static_cast<int64_t>(delay * 1e6)));
 }
@@ -73,7 +78,6 @@ TraceCache::lookup(uint64_t fingerprint, SampleTrace &out) const
     auto &reg = obs::StatsRegistry::global();
 
     const std::string path = entryPath(fingerprint);
-    const resilience::RetryPolicy policy = cacheRetryPolicy(fingerprint);
     std::ifstream file;
     for (int attempt = 1;; ++attempt) {
         file.open(path, std::ios::binary);
@@ -89,7 +93,7 @@ TraceCache::lookup(uint64_t fingerprint, SampleTrace &out) const
         }
         // The entry exists but would not open: transient I/O
         // (EMFILE, EACCES race, EIO); retry before re-simulating.
-        if (attempt >= policy.maxAttempts) {
+        if (attempt >= cacheAttempts) {
             warn("trace cache: %s exists but cannot be opened after "
                  "%d attempts; falling back to simulation",
                  path.c_str(), attempt);
@@ -101,7 +105,7 @@ TraceCache::lookup(uint64_t fingerprint, SampleTrace &out) const
         ++stats_.retries;
         reg.addNamed("trace_cache.retries", 1);
         file.clear();
-        backoffSleep(policy, attempt, fingerprint);
+        backoffSleep(attempt, fingerprint);
     }
 
     SampleTrace trace;
@@ -152,7 +156,6 @@ TraceCache::store(uint64_t fingerprint, const SampleTrace &trace) const
     }
 
     const std::string path = entryPath(fingerprint);
-    const resilience::RetryPolicy policy = cacheRetryPolicy(fingerprint);
     auto &reg = obs::StatsRegistry::global();
     for (int attempt = 1;; ++attempt) {
         std::string serialize_error;
@@ -181,7 +184,7 @@ TraceCache::store(uint64_t fingerprint, const SampleTrace &trace) const
                  serialize_error.c_str());
             return false;
         }
-        if (attempt >= policy.maxAttempts) {
+        if (attempt >= cacheAttempts) {
             warn("trace cache: %s; entry not stored after %d "
                  "attempts",
                  publish_error.c_str(), attempt);
@@ -189,7 +192,7 @@ TraceCache::store(uint64_t fingerprint, const SampleTrace &trace) const
         }
         ++stats_.retries;
         reg.addNamed("trace_cache.retries", 1);
-        backoffSleep(policy, attempt, fingerprint);
+        backoffSleep(attempt, fingerprint);
     }
 }
 

@@ -43,8 +43,8 @@ class TraceCache
   public:
     /**
      * Lookup/store outcome counters since construction. Atomic
-     * fields: the resilient orchestration path stores entries from
-     * pool workers concurrently.
+     * fields: runTraces stores each entry from the pool worker that
+     * simulated it, so stores run concurrently.
      */
     struct Stats
     {

@@ -2,35 +2,26 @@
  * @file
  * Pins the shared FNV-1a 64 hash and every value derived from it.
  *
- * Trace-cache keys, journal record CRCs and string-derived RNG seeds
- * are all stored on disk or baked into outputs, so they must never
- * move: a changed value here means existing cache entries, journals
- * and checkpoints would be rejected or silently re-keyed. The derived
- * values below were recorded before the hash copies were folded into
- * common/checksum; a deliberate traceCacheCodeSalt bump is the one
- * legitimate reason to re-record the run fingerprint.
+ * Trace-cache keys and string-derived RNG seeds are all stored on
+ * disk or baked into outputs, so they must never move: a changed
+ * value here means existing cache entries and checkpoints would be
+ * rejected or silently re-keyed. The derived values below were
+ * recorded before the hash copies were folded into common/checksum;
+ * a deliberate traceCacheCodeSalt bump is the one legitimate reason
+ * to re-record the run fingerprint.
  */
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/bench_util.hh"
 #include "common/checksum.hh"
 #include "common/random.hh"
-#include "resilience/run_journal.hh"
 #include "trace/fingerprint.hh"
 
 namespace tdp {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(Checksum, PublishedFnv1a64Vectors)
 {
@@ -74,28 +65,6 @@ TEST(Checksum, FingerprintMixesAreStable)
         .mixBytes("xyz", 3)
         .mixFaultPlan(plan);
     EXPECT_EQ(fp.digest(), 0xe5ddf9098b6e2c9bull);
-}
-
-TEST(Checksum, JournalRecordCrcIsStable)
-{
-    const fs::path dir =
-        fs::temp_directory_path() /
-        ("tdp-checksum-test-" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string path = (dir / "run.journal").string();
-    {
-        resilience::RunJournal journal;
-        ASSERT_TRUE(journal.open(path));
-        ASSERT_TRUE(journal.append(resilience::JournalKind::TaskQueued,
-                                   3, 0x0123456789abcdefull, 0, "gcc"));
-    }
-    std::ifstream in(path, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    fs::remove_all(dir);
-    EXPECT_EQ(bytes, "TDPJ1 0 task-queued 3 0123456789abcdef 0 gcc "
-                     "e47c2fc333c0e559\n");
 }
 
 } // namespace

@@ -3,6 +3,7 @@
  * Tests for the deterministic random number generator.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -187,6 +188,48 @@ TEST(Random, HashStringStable)
     EXPECT_EQ(hashString("abc"), hashString("abc"));
     EXPECT_NE(hashString("abc"), hashString("abd"));
     EXPECT_NE(hashString(""), hashString("a"));
+}
+
+TEST(MixHashTest, DeterministicAndSensitiveToEveryInput)
+{
+    EXPECT_EQ(mixHash(1, 2, 3), mixHash(1, 2, 3));
+    EXPECT_NE(mixHash(1, 2, 3), mixHash(2, 2, 3));
+    EXPECT_NE(mixHash(1, 2, 3), mixHash(1, 3, 3));
+    EXPECT_NE(mixHash(1, 2, 3), mixHash(1, 2, 4));
+}
+
+TEST(MixHashTest, HashUnitCoversTheUnitInterval)
+{
+    double lo = 1.0, hi = 0.0;
+    for (uint64_t i = 0; i < 1000; ++i) {
+        const double u = hashUnit(0x5eed, i, 1);
+        EXPECT_GE(u, 0.0);
+        EXPECT_LT(u, 1.0);
+        lo = std::min(lo, u);
+        hi = std::max(hi, u);
+    }
+    EXPECT_LT(lo, 0.05);
+    EXPECT_GT(hi, 0.95);
+}
+
+TEST(MixHashTest, OutputsArePinned)
+{
+    // Stream client sharding, overload shedding and the committed
+    // stream digests depend on these exact bits; a changed value
+    // re-shards every fleet.
+    EXPECT_EQ(mixHash(0, 0, 0), 0x43a934a9a2157f2full);
+    EXPECT_EQ(mixHash(1, 2, 3), 0x9edab940473f22a1ull);
+    EXPECT_EQ(mixHash(0x5eed, 7, 1), 0x0a7cc2b0db27dd19ull);
+    EXPECT_EQ(mixHash(0xc0ffee, 12345, 1), 0x5c91c2cb50733752ull);
+    EXPECT_EQ(mixHash(0x5eed2007, 0xdeadbeef, 0x51a7),
+              0xb082c243ecbfd289ull);
+    EXPECT_EQ(mixHash(~0ull, ~0ull, ~0ull), 0x7342e461a7554671ull);
+
+    EXPECT_EQ(hashUnit(0, 0, 0), 0x1.0ea4d2a68855ep-2);
+    EXPECT_EQ(hashUnit(1, 2, 3), 0x1.3db572808e7e4p-1);
+    EXPECT_EQ(hashUnit(0x5eed, 7, 1), 0x1.4f98561b64fbp-5);
+    EXPECT_EQ(hashUnit(0x5eed2007, 0xdeadbeef, 0x51a7),
+              0x1.61058487d97fap-1);
 }
 
 } // namespace

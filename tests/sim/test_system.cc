@@ -120,6 +120,20 @@ TEST(System, RunForIsCumulative)
     EXPECT_EQ(probe.ticks_, 5);
 }
 
+TEST(System, SubQuantumStepsAccumulate)
+{
+    // Each call runs from the current time, so the part of a quantum
+    // one call leaves over carries into the next: N calls of 0.7
+    // quanta execute floor(0.7 N) quanta.
+    System sys(1);
+    Probe probe(sys, "p", TickPhase::Cpu, nullptr);
+    constexpr int calls = 1000;
+    for (int i = 0; i < calls; ++i)
+        sys.runFor(0.0007);
+    EXPECT_NEAR(static_cast<double>(sys.quantaExecuted()), 700.0, 1.0);
+    EXPECT_EQ(static_cast<uint64_t>(probe.ticks_), sys.quantaExecuted());
+}
+
 TEST(System, MakeRngIsDeterministicPerName)
 {
     System a(42), b(42), c(43);

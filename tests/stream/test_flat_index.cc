@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "resilience/retry.hh"
+#include "common/random.hh"
 #include "stream/flat_index.hh"
 
 namespace tdp {
@@ -79,10 +79,8 @@ TEST(FlatClientIndex, ChurnMatchesReferenceMap)
     constexpr int ops = 60000;
     constexpr uint64_t universe = 512; // small: dense collisions
     for (int op = 0; op < ops; ++op) {
-        const uint64_t client =
-            resilience::mixHash(0xc0ffee, op, 1) % universe;
-        const uint64_t action =
-            resilience::mixHash(0xdecaf, op, 2) % 3;
+        const uint64_t client = mixHash(0xc0ffee, op, 1) % universe;
+        const uint64_t action = mixHash(0xdecaf, op, 2) % 3;
         const auto it = reference.find(client);
         if (action == 0 && it == reference.end()) {
             index.insert(client, nextRow);

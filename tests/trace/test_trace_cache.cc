@@ -2,17 +2,26 @@
  * @file
  * Trace cache behaviour: content-addressed key sensitivity (every
  * simulation input must change the fingerprint), hit/miss/store
- * mechanics, and the graceful fall-back to re-simulation when an
- * entry is truncated or bit-flipped on disk.
+ * mechanics, the graceful fall-back to re-simulation when an entry
+ * is truncated or bit-flipped on disk, and the cache as the resume
+ * path: a batch SIGKILLed midway and re-run with the same cache gets
+ * the traces of an uninterrupted run.
  */
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +29,7 @@
 #include "workloads/profile.hh"
 
 #include "common/bench_util.hh"
+#include "common/checksum.hh"
 #include "measure/trace_io.hh"
 #include "trace/fingerprint.hh"
 #include "trace/trace_cache.hh"
@@ -316,6 +326,148 @@ TEST_F(TraceCacheTest, CachedTraceBitIdenticalForEveryWorkload)
         EXPECT_TRUE(traceBitIdentical(fresh, cached)) << name;
     }
     bench::setTraceCacheRoot("");
+}
+
+/**
+ * Two short runs then four long ones: at -j2 the short runs publish
+ * while the long ones still have most of their work ahead, so a kill
+ * after the first entry lands mid-batch.
+ */
+std::vector<RunSpec>
+mixedBatch()
+{
+    const char *workloads[] = {"gcc", "mcf", "mesa",
+                               "art", "vortex", "lucas"};
+    std::vector<RunSpec> specs;
+    for (size_t i = 0; i < std::size(workloads); ++i) {
+        RunSpec spec;
+        spec.workload = workloads[i];
+        spec.instances = 2;
+        spec.firstStart = 0.5;
+        spec.duration = i < 2 ? 4.0 : 90.0;
+        spec.skip = 1.0;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+std::vector<uint64_t>
+digestsOf(const std::vector<SampleTrace> &traces)
+{
+    std::vector<uint64_t> digests;
+    for (const SampleTrace &trace : traces) {
+        std::ostringstream os;
+        writeTraceBinary(os, trace);
+        const std::string bytes = os.str();
+        digests.push_back(fnv1a64(bytes.data(), bytes.size()));
+    }
+    return digests;
+}
+
+/** True once `dir` holds a published (renamed) cache entry. */
+bool
+hasPublishedEntry(const fs::path &dir)
+{
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (name.rfind("trace-", 0) == 0 && name.size() > 5 &&
+            name.compare(name.size() - 5, 5, ".tdpt") == 0)
+            return true;
+    }
+    return false;
+}
+
+TEST_F(TraceCacheTest, KilledBatchResumesFromTheCache)
+{
+    const std::vector<RunSpec> specs = mixedBatch();
+    bench::setTraceCacheRoot("");
+    bench::setJobs(2);
+    const std::vector<uint64_t> baseline =
+        digestsOf(bench::runTraces(specs));
+    ASSERT_EQ(baseline.size(), specs.size());
+
+    // The child runs the batch into a fresh cache and is SIGKILLed as
+    // soon as its first entry is published.
+    const fs::path cache = root_ / "killed";
+    fs::create_directories(cache);
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        bench::setTraceCacheRoot(cache.string());
+        bench::setJobs(2);
+        try {
+            bench::runTraces(specs);
+        } catch (...) {
+            ::_exit(86);
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    bool reaped = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (!hasPublishedEntry(cache) &&
+           std::chrono::steady_clock::now() < deadline) {
+        if (::waitpid(pid, &status, WNOHANG) == pid) {
+            reaped = true;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (!reaped) {
+        ::kill(pid, SIGKILL);
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    }
+    ASSERT_TRUE(hasPublishedEntry(cache));
+
+    // Re-run serially: finished runs are hits, the rest simulate, and
+    // the traces match the uninterrupted baseline bit for bit.
+    bench::setTraceCacheRoot(cache.string());
+    bench::setJobs(1);
+    EXPECT_EQ(digestsOf(bench::runTraces(specs)), baseline);
+    const uint64_t hits = bench::traceCache()->stats().hits;
+    if (WIFSIGNALED(status)) {
+        EXPECT_GT(hits, 0u);
+        EXPECT_LT(hits, specs.size());
+    } else {
+        // The child outran the poll and finished the whole batch.
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    // And wide: now every run is a hit.
+    bench::setTraceCacheRoot(cache.string());
+    bench::setJobs(4);
+    EXPECT_EQ(digestsOf(bench::runTraces(specs)), baseline);
+    EXPECT_EQ(bench::traceCache()->stats().hits, specs.size());
+
+    bench::setTraceCacheRoot("");
+    bench::setJobs(1);
+}
+
+TEST_F(TraceCacheTest, ParallelBatchStoresEveryRunFromItsWorker)
+{
+    std::vector<RunSpec> specs = mixedBatch();
+    for (RunSpec &spec : specs)
+        spec.duration = 4.0;
+    bench::setTraceCacheRoot(root_.string());
+    bench::setJobs(4);
+    const std::vector<SampleTrace> traces = bench::runTraces(specs);
+    const TraceCache &cache = *bench::traceCache();
+    EXPECT_EQ(cache.stats().stores, specs.size());
+    EXPECT_EQ(cache.stats().misses, specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        SampleTrace stored;
+        ASSERT_TRUE(cache.lookup(runFingerprint(specs[i]), stored));
+        EXPECT_TRUE(traceBitIdentical(traces[i], stored))
+            << specs[i].workload;
+    }
+
+    bench::setTraceCacheRoot("");
+    bench::setJobs(1);
 }
 
 } // namespace
