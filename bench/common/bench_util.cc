@@ -5,6 +5,7 @@
 
 #include "bench_util.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -248,6 +249,17 @@ initBench(int argc, char **argv)
         obs::SpanTracer::global().setOutput(std::move(trace_out));
     // One hook per process: initBench is called once from main.
     std::atexit(flushObservability);
+}
+
+void
+argumentError(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    const std::string message = vformatString(fmt, args);
+    va_end(args);
+    std::fprintf(stderr, "%s (see --help)\n", message.c_str());
+    std::exit(2);
 }
 
 std::vector<std::string>

@@ -82,6 +82,15 @@ int jobs();
  */
 std::vector<std::string> positionalArgs(int argc, char **argv);
 
+/**
+ * Reject a command-line argument: print the message and " (see
+ * --help)" as one stderr line, then exit 2, the usual code for a
+ * usage error. Only for bad input; a broken invariant still goes
+ * through fatal().
+ */
+[[noreturn]] void argumentError(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /** How a workload is launched for an experiment. */
 struct RunSpec
 {

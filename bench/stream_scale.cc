@@ -332,6 +332,19 @@ runDrainPass(const ScaleOptions &opt, int clients, int rounds,
     return result;
 }
 
+constexpr const char *usage =
+    "usage: stream_scale [--jobs N] [--clients N] [--rounds N]\n"
+    "                    [--shards N] [--verify-clients N] [--seed V]\n"
+    "\n"
+    "  --clients N         scale-pass fleet size, >= 4096 (1000000)\n"
+    "  --rounds N          samples per client (4)\n"
+    "  --shards N          ingest shards, 1..4096 (32)\n"
+    "  --verify-clients N  verify-pass fleet size, >= 256 (4096)\n"
+    "  --seed V            ingest hash seed\n"
+    "\n"
+    "The shared bench flags (--jobs, --trace-out, --manifest-out,\n"
+    "--timeline-out, --prom-out, --repetitions) are also accepted.\n";
+
 ScaleOptions
 parseOptions(const std::vector<std::string> &args)
 {
@@ -350,19 +363,24 @@ parseOptions(const std::vector<std::string> &args)
     auto intValue = [&](const std::string &text, const char *flag) {
         const int value = std::atoi(text.c_str());
         if (value <= 0)
-            fatal("stream_scale: %s needs a positive integer, got "
-                  "'%s'",
-                  flag, text.c_str());
+            argumentError("stream_scale: %s needs a positive integer, "
+                          "got '%s'",
+                          flag, text.c_str());
         return value;
     };
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(usage, stdout);
+            std::exit(0);
+        }
         auto value = [&](const char *name,
                          const char *prefix) -> std::string {
             if (arg.rfind(prefix, 0) == 0)
                 return arg.substr(std::strlen(prefix));
             if (i + 1 >= args.size())
-                fatal("stream_scale: %s needs a value", name);
+                argumentError("stream_scale: %s needs a value",
+                              name);
             return args[++i];
         };
         if (arg == "--clients" || arg.rfind("--clients=", 0) == 0) {
@@ -385,21 +403,23 @@ parseOptions(const std::vector<std::string> &args)
             opt.seed = std::strtoull(
                 value("--seed", "--seed=").c_str(), nullptr, 0);
         } else {
-            fatal("stream_scale: unknown argument '%s'",
-                  arg.c_str());
+            argumentError("stream_scale: unknown argument '%s'",
+                          arg.c_str());
         }
     }
     if (opt.clients < 4096)
-        fatal("stream_scale: --clients %d is below the 4096 floor - "
-              "this bench measures fleet scale; for small-fleet "
-              "correctness sweeps use bench/stream_sweep",
-              opt.clients);
+        argumentError("stream_scale: --clients %d is below the 4096 "
+                      "floor - this bench measures fleet scale; for "
+                      "small-fleet correctness sweeps use "
+                      "bench/stream_sweep",
+                      opt.clients);
     if (opt.rounds < 1)
-        fatal("stream_scale: need at least 1 round");
+        argumentError("stream_scale: need at least 1 round");
     if (opt.shards < 1 || opt.shards > 4096)
-        fatal("stream_scale: --shards must be in [1, 4096]");
+        argumentError("stream_scale: --shards must be in [1, 4096]");
     if (opt.verifyClients < 256)
-        fatal("stream_scale: --verify-clients must be >= 256");
+        argumentError(
+            "stream_scale: --verify-clients must be >= 256");
     return opt;
 }
 

@@ -788,6 +788,25 @@ measureTelemetryOverhead(const SweepOptions &opt)
     return best;
 }
 
+constexpr const char *usage =
+    "usage: stream_sweep [--jobs N] [--stream PHASES] [--clients N]\n"
+    "                    [--rounds N] [--window N] [--seed V]\n"
+    "                    [--checkpoint BASE] [--checkpoint-every N]\n"
+    "                    [--restore BASE]\n"
+    "\n"
+    "  --stream PHASES       comma list of phases to run (all)\n"
+    "  --clients N           fleet size per workload, 2..4096 (12)\n"
+    "  --rounds N            rounds per phase, >= 8 (32)\n"
+    "  --window N            refit window blocks (4)\n"
+    "  --seed V              admission/shed hash seed\n"
+    "  --checkpoint BASE     checkpoint every grid-phase service at BASE\n"
+    "  --checkpoint-every N  checkpoint cadence in ticks (8)\n"
+    "  --restore BASE        restore BASE, replay its tail and verify it\n"
+    "                        against an uninterrupted run\n"
+    "\n"
+    "The shared bench flags (--jobs, --trace-out, --manifest-out,\n"
+    "--timeline-out, --prom-out, --repetitions) are also accepted.\n";
+
 SweepOptions
 parseOptions(const std::vector<std::string> &args)
 {
@@ -809,19 +828,24 @@ parseOptions(const std::vector<std::string> &args)
     auto intValue = [&](const std::string &text, const char *flag) {
         const int value = std::atoi(text.c_str());
         if (value <= 0)
-            fatal("stream_sweep: %s needs a positive integer, got "
-                  "'%s'",
-                  flag, text.c_str());
+            argumentError("stream_sweep: %s needs a positive integer, "
+                          "got '%s'",
+                          flag, text.c_str());
         return value;
     };
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(usage, stdout);
+            std::exit(0);
+        }
         auto value = [&](const char *name,
                          const char *prefix) -> std::string {
             if (arg.rfind(prefix, 0) == 0)
                 return arg.substr(std::strlen(prefix));
             if (i + 1 >= args.size())
-                fatal("stream_sweep: %s needs a value", name);
+                argumentError("stream_sweep: %s needs a value",
+                              name);
             return args[++i];
         };
         if (arg == "--clients" || arg.rfind("--clients=", 0) == 0) {
@@ -849,14 +873,14 @@ parseOptions(const std::vector<std::string> &args)
             opt.checkpointBase =
                 value("--checkpoint", "--checkpoint=");
             if (opt.checkpointBase.empty())
-                fatal("stream_sweep: --checkpoint needs a non-empty "
-                      "base path");
+                argumentError("stream_sweep: --checkpoint needs a "
+                              "non-empty base path");
         } else if (arg == "--restore" ||
                    arg.rfind("--restore=", 0) == 0) {
             opt.restoreBase = value("--restore", "--restore=");
             if (opt.restoreBase.empty())
-                fatal("stream_sweep: --restore needs a non-empty "
-                      "base path");
+                argumentError("stream_sweep: --restore needs a "
+                              "non-empty base path");
         } else if (arg == "--stream" ||
                    arg.rfind("--stream=", 0) == 0) {
             opt.phases.clear();
@@ -873,8 +897,9 @@ parseOptions(const std::vector<std::string> &args)
                     for (const std::string &p : allPhases)
                         known = known || p == phase;
                     if (!known)
-                        fatal("stream_sweep: unknown phase '%s'",
-                              phase.c_str());
+                        argumentError(
+                            "stream_sweep: unknown phase '%s'",
+                            phase.c_str());
                     opt.phases.push_back(phase);
                 }
                 if (comma == std::string::npos)
@@ -882,29 +907,30 @@ parseOptions(const std::vector<std::string> &args)
                 start = comma + 1;
             }
             if (opt.phases.empty())
-                fatal("stream_sweep: --stream selected no phases");
+                argumentError(
+                    "stream_sweep: --stream selected no phases");
         } else {
-            fatal("stream_sweep: unknown argument '%s'",
-                  arg.c_str());
+            argumentError("stream_sweep: unknown argument '%s'",
+                          arg.c_str());
         }
     }
     if (opt.clients < 2)
-        fatal("stream_sweep: need at least 2 clients");
+        argumentError("stream_sweep: need at least 2 clients");
     if (opt.clients > maxSweepClients)
-        fatal("stream_sweep: --clients %d exceeds the %d ceiling. "
-              "This sweep replays every workload/phase pair twice "
-              "(serial + parallel reference) with refit "
-              "verification on, so large fleets multiply into hours "
-              "- for fleet-scale ingest measurements use "
-              "bench/stream_scale, which drives millions of "
-              "clients through the same service once per "
-              "repetition",
-              opt.clients, maxSweepClients);
+        argumentError("stream_sweep: --clients %d exceeds the %d "
+                      "ceiling. This sweep replays every workload/phase "
+                      "pair twice (serial + parallel reference) with "
+                      "refit verification on, so large fleets multiply "
+                      "into hours - for fleet-scale ingest measurements "
+                      "use bench/stream_scale, which drives millions of "
+                      "clients through the same service once per "
+                      "repetition",
+                      opt.clients, maxSweepClients);
     if (opt.rounds < 8)
-        fatal("stream_sweep: need at least 8 rounds");
+        argumentError("stream_sweep: need at least 8 rounds");
     if (opt.checkpointEvery <= 0)
-        fatal("stream_sweep: --checkpoint-every needs a positive "
-              "tick count");
+        argumentError("stream_sweep: --checkpoint-every needs a "
+                      "positive tick count");
     return opt;
 }
 

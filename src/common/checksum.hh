@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace tdp {
 
@@ -27,6 +28,18 @@ constexpr uint64_t fnv1aPrime = 0x100000001b3ull;
 /** FNV-1a 64-bit hash of a byte range, chainable via `seed`. */
 uint64_t fnv1a64(const void *data, size_t len,
                  uint64_t seed = fnv1aBasis);
+
+/**
+ * Two FNV-1a 64 chains over the same bytes, advanced in one loop:
+ * returns {fnv1a64(data, len, seedA), fnv1a64(data, len, seedB)}.
+ * Each chain is one serial multiply per byte, so interleaving two
+ * independent chains costs about what one does. The checkpoint
+ * container hashes each section from the basis and onward from the
+ * running whole-file hash this way.
+ */
+std::pair<uint64_t, uint64_t> fnv1a64Pair(const void *data, size_t len,
+                                          uint64_t seedA,
+                                          uint64_t seedB);
 
 } // namespace tdp
 

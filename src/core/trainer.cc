@@ -87,24 +87,31 @@ ModelTrainer::trainingTrace(Rail rail) const
     return it->second;
 }
 
+bool
+ModelTrainer::usable(const AlignedSample &sample, Rail rail,
+                     TrainingReport::RailCleaning &counts) const
+{
+    const double w = sample.measured(rail);
+    if (!std::isfinite(w)) {
+        ++counts.discardedNonFinite;
+        return false;
+    }
+    if (w < policy_.minPlausibleWatts || w > policy_.maxPlausibleWatts) {
+        ++counts.discardedOutlier;
+        return false;
+    }
+    ++counts.kept;
+    return true;
+}
+
 SampleTrace
 ModelTrainer::cleanTrace(const SampleTrace &trace, Rail rail,
                          TrainingReport::RailCleaning &counts) const
 {
     SampleTrace clean;
     for (const AlignedSample &sample : trace.samples()) {
-        const double w = sample.measured(rail);
-        if (!std::isfinite(w)) {
-            ++counts.discardedNonFinite;
-            continue;
-        }
-        if (w < policy_.minPlausibleWatts ||
-            w > policy_.maxPlausibleWatts) {
-            ++counts.discardedOutlier;
-            continue;
-        }
-        clean.add(AlignedSample(sample));
-        ++counts.kept;
+        if (usable(sample, rail, counts))
+            clean.add(AlignedSample(sample));
     }
     return clean;
 }
@@ -125,8 +132,17 @@ ModelTrainer::train(SystemPowerEstimator &estimator) const
         auto &counts = report.rails[static_cast<size_t>(r)];
         obs::TraceSpan span(
             "train", std::string("fit:") + railName(rail));
-        const SampleTrace clean =
-            cleanTrace(it->second, rail, counts);
+        // Scan first: a trace with nothing to discard (every paper
+        // run) is fitted as registered, without a scrubbed copy.
+        for (const AlignedSample &sample : it->second.samples())
+            usable(sample, rail, counts);
+        SampleTrace scrubbed;
+        if (counts.discarded() > 0) {
+            TrainingReport::RailCleaning recount;
+            scrubbed = cleanTrace(it->second, rail, recount);
+        }
+        const SampleTrace &clean =
+            counts.discarded() > 0 ? scrubbed : it->second;
         if (clean.empty())
             fatal("ModelTrainer: every sample of the %s training "
                   "trace was discarded (%llu non-finite, %llu "

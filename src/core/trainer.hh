@@ -103,6 +103,13 @@ class ModelTrainer
                            TrainingReport::RailCleaning &counts) const;
 
   private:
+    /**
+     * Count one sample into @p counts as kept or discarded (and
+     * why); true when it is usable for fitting this rail.
+     */
+    bool usable(const AlignedSample &sample, Rail rail,
+                TrainingReport::RailCleaning &counts) const;
+
     Policy policy_;
     std::map<int, SampleTrace> traces_;
 };

@@ -11,6 +11,7 @@
 #include <memory>
 #include <ostream>
 
+#include "common/byte_writer.hh"
 #include "common/logging.hh"
 
 namespace tdp {
@@ -19,23 +20,8 @@ namespace {
 
 constexpr char traceMagic[4] = {'T', 'D', 'P', 'T'};
 
-/** Append an integer LSB-first. */
-template <typename T>
-void
-appendLe(std::string &out, T value)
-{
-    for (size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-/** Append a double as its little-endian bit pattern. */
-void
-appendDouble(std::string &out, double value)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    appendLe(out, bits);
-}
+/** Header: magic, three u32 and four u64 fields. */
+constexpr size_t headerBytes = 4 + 4 * 3 + 8 * 4;
 
 /**
  * Bounds-checked little-endian cursor over a byte buffer that folds
@@ -156,38 +142,40 @@ void
 writeTraceBinary(std::ostream &os, const SampleTrace &trace,
                  uint64_t fingerprint)
 {
-    std::string payload;
-    // header-less estimate: 10 doubles + rails + one 4-CPU PMU block.
-    payload.reserve(trace.size() *
+    ByteWriter out;
+    // The header, then per sample five doubles, the rails, the CPU
+    // count and (the usual case) four CPUs of PMU counts.
+    out.reserve(headerBytes +
+                trace.size() *
                     (8 * (5 + numRails) + 4 + 8 * 4 * numPerfEvents));
+    out.bytes(traceMagic, sizeof(traceMagic));
+    out.u32(traceFormatVersion);
+    out.u32(static_cast<uint32_t>(numPerfEvents));
+    out.u32(static_cast<uint32_t>(numRails));
+    out.u64(fingerprint);
+    out.u64(static_cast<uint64_t>(trace.size()));
+    const size_t lengthAt = out.size();
+    out.u64(0); // payload bytes and checksum, patched below
+    out.u64(0);
     for (const AlignedSample &s : trace.samples()) {
-        appendDouble(payload, s.time);
-        appendDouble(payload, s.interval);
-        appendDouble(payload, s.osInterruptsTotal);
-        appendDouble(payload, s.osDiskInterrupts);
-        appendDouble(payload, s.osDeviceInterrupts);
+        out.f64(s.time);
+        out.f64(s.interval);
+        out.f64(s.osInterruptsTotal);
+        out.f64(s.osDiskInterrupts);
+        out.f64(s.osDeviceInterrupts);
         for (int r = 0; r < numRails; ++r)
-            appendDouble(payload, s.measuredWatts[static_cast<size_t>(r)]);
-        appendLe(payload, static_cast<uint32_t>(s.perCpu.size()));
+            out.f64(s.measuredWatts[static_cast<size_t>(r)]);
+        out.u32(static_cast<uint32_t>(s.perCpu.size()));
         for (const CounterSnapshot &snap : s.perCpu)
-            for (int e = 0; e < numPerfEvents; ++e)
-                appendDouble(payload,
-                             snap.counts[static_cast<size_t>(e)]);
+            out.bytes(snap.counts.data(), sizeof snap.counts);
     }
+    const size_t payloadBytes = out.size() - headerBytes;
+    out.patch(lengthAt, static_cast<uint64_t>(payloadBytes));
+    out.patch(lengthAt + 8,
+              fnv1a64(out.data() + headerBytes, payloadBytes));
 
-    std::string header;
-    header.append(traceMagic, sizeof(traceMagic));
-    appendLe(header, traceFormatVersion);
-    appendLe(header, static_cast<uint32_t>(numPerfEvents));
-    appendLe(header, static_cast<uint32_t>(numRails));
-    appendLe(header, fingerprint);
-    appendLe(header, static_cast<uint64_t>(trace.size()));
-    appendLe(header, static_cast<uint64_t>(payload.size()));
-    appendLe(header, fnv1a64(payload.data(), payload.size()));
-
-    os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
+    os.write(reinterpret_cast<const char *>(out.data()),
+             static_cast<std::streamsize>(out.size()));
     if (!os)
         fatal("writeTraceBinary: stream write failed");
 }
@@ -196,10 +184,9 @@ bool
 tryReadTraceBinary(std::istream &is, SampleTrace &out,
                    uint64_t *fingerprint, std::string *error)
 {
-    constexpr size_t headerSize = 4 + 4 * 3 + 8 * 4;
-    std::string header(headerSize, '\0');
-    is.read(&header[0], static_cast<std::streamsize>(headerSize));
-    if (static_cast<size_t>(is.gcount()) != headerSize)
+    std::string header(headerBytes, '\0');
+    is.read(&header[0], static_cast<std::streamsize>(headerBytes));
+    if (static_cast<size_t>(is.gcount()) != headerBytes)
         return fail(error, "truncated header");
     if (std::memcmp(header.data(), traceMagic, sizeof(traceMagic)) != 0)
         return fail(error, "bad magic (not a binary trace)");

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/atomic_file.hh"
@@ -38,15 +40,19 @@ struct Header
     uint32_t sectionCount = 0;
 };
 
-/** One parsed, CRC-verified checkpoint file held in memory. */
+/**
+ * One parsed, CRC-verified checkpoint file held in memory. Sections
+ * are views into the file bytes, which move with the object.
+ */
 struct Parsed
 {
     Header header;
-    std::vector<std::pair<uint32_t, std::string>> sections;
+    std::unique_ptr<char[]> bytes;
+    std::vector<std::pair<uint32_t, std::string_view>> sections;
     uint64_t fileCrc = 0;
     std::string path;
 
-    const std::string *
+    const std::string_view *
     section(uint32_t id) const
     {
         for (const auto &entry : sections) {
@@ -91,105 +97,89 @@ restoreSample(CheckpointReader &r, StreamSample &sample)
     sample.enqueueTick = r.u64();
 }
 
-void
-appendSection(std::string &file, uint32_t id, const std::string &payload)
-{
-    const uint64_t length = payload.size();
-    const uint64_t crc = fnv1a64(payload.data(), payload.size());
-    file.append(reinterpret_cast<const char *>(&id), sizeof id);
-    file.append(reinterpret_cast<const char *>(&length), sizeof length);
-    file.append(payload);
-    file.append(reinterpret_cast<const char *>(&crc), sizeof crc);
-}
-
 /**
  * Read and validate one checkpoint file end to end (magic, version,
- * bounds, per-section CRC). Returns false with a one-line reason;
- * never fatals - a torn file is an expected input here.
+ * bounds, per-section CRC), computing the whole-file CRC alongside
+ * the section CRCs in the same pass. Returns false with a one-line
+ * reason; never fatals - a torn file is an expected input here.
  */
 bool
 parseCheckpointFile(const std::string &path, Parsed &out,
                     std::string &why)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        why = "cannot open";
+    auto fail = [&why](std::string reason) {
+        why = std::move(reason);
         return false;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-        why = "read failed";
-        return false;
-    }
+    };
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return fail("cannot open");
+    const std::streamoff end = in.tellg();
+    const size_t size = end > 0 ? static_cast<size_t>(end) : 0;
+    out.bytes = std::make_unique_for_overwrite<char[]>(size);
+    const char *bytes = out.bytes.get();
+    if (end < 0 || !in.seekg(0) ||
+        !in.read(out.bytes.get(), static_cast<std::streamsize>(size)))
+        return fail("read failed");
 
     size_t pos = 0;
-    auto need = [&](size_t n) { return bytes.size() - pos >= n; };
+    auto need = [&](size_t n) { return size - pos >= n; };
     auto take = [&](void *dst, size_t n) {
-        std::memcpy(dst, bytes.data() + pos, n);
+        std::memcpy(dst, bytes + pos, n);
         pos += n;
     };
 
-    char magic[4];
-    if (!need(sizeof magic)) {
-        why = "truncated before magic";
-        return false;
-    }
-    take(magic, sizeof magic);
-    if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-        why = "bad magic (not a TDPC checkpoint)";
-        return false;
-    }
+    if (!need(sizeof kMagic))
+        return fail("truncated before magic");
+    if (std::memcmp(bytes, kMagic, sizeof kMagic) != 0)
+        return fail("bad magic (not a TDPC checkpoint)");
+    pos = sizeof kMagic;
 
     Header &h = out.header;
     if (!need(sizeof h.version + 4 * sizeof(uint64_t) +
-              sizeof h.sectionCount)) {
-        why = "truncated header";
-        return false;
-    }
+              sizeof h.sectionCount))
+        return fail("truncated header");
     take(&h.version, sizeof h.version);
-    if (h.version != kCheckpointVersion) {
-        why = "unsupported version " + std::to_string(h.version);
-        return false;
-    }
+    if (h.version != kCheckpointVersion)
+        return fail("unsupported version " + std::to_string(h.version));
     take(&h.fingerprint, sizeof h.fingerprint);
     take(&h.generation, sizeof h.generation);
     take(&h.tick, sizeof h.tick);
     take(&h.digest, sizeof h.digest);
     take(&h.sectionCount, sizeof h.sectionCount);
 
+    // The file CRC chains over every byte; `hashed` is how far.
+    uint64_t fileCrc = fnv1aBasis;
+    size_t hashed = 0;
     out.sections.clear();
-    out.sections.reserve(h.sectionCount);
     for (uint32_t s = 0; s < h.sectionCount; ++s) {
         uint32_t id;
         uint64_t length;
-        if (!need(sizeof id + sizeof length)) {
-            why = "truncated section header";
-            return false;
-        }
+        if (!need(sizeof id + sizeof length))
+            return fail("truncated section header");
         take(&id, sizeof id);
         take(&length, sizeof length);
-        if (!need(length + sizeof(uint64_t))) {
-            why = "truncated section " + std::to_string(id);
-            return false;
-        }
-        std::string payload(bytes.data() + pos,
-                            static_cast<size_t>(length));
-        pos += static_cast<size_t>(length);
+        if (!need(sizeof(uint64_t)) ||
+            length > size - pos - sizeof(uint64_t))
+            return fail("truncated section " + std::to_string(id));
+        const std::string_view payload(bytes + pos,
+                                       static_cast<size_t>(length));
+        fileCrc = fnv1a64(bytes + hashed, pos - hashed, fileCrc);
+        const auto [crc, file] = fnv1a64Pair(
+            payload.data(), payload.size(), fnv1aBasis, fileCrc);
+        fileCrc = file;
+        pos += payload.size();
+        hashed = pos;
         uint64_t storedCrc;
         take(&storedCrc, sizeof storedCrc);
-        if (fnv1a64(payload.data(), payload.size()) != storedCrc) {
-            why = "CRC mismatch in section " + std::to_string(id);
-            return false;
-        }
-        out.sections.emplace_back(id, std::move(payload));
+        if (crc != storedCrc)
+            return fail("CRC mismatch in section " + std::to_string(id));
+        out.sections.emplace_back(id, payload);
     }
-    if (pos != bytes.size()) {
-        why = "trailing bytes after last section";
-        return false;
-    }
+    if (pos != size)
+        return fail("trailing bytes after last section");
 
-    out.fileCrc = fnv1a64(bytes.data(), bytes.size());
+    out.fileCrc = fnv1a64(bytes + hashed, size - hashed, fileCrc);
     out.path = path;
     return true;
 }
@@ -200,6 +190,46 @@ fileExists(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     return static_cast<bool>(in);
+}
+
+/**
+ * Parse both rotation slots of @p base into @p slots and return the
+ * newest usable generation, or nullptr. A slot that exists but fails
+ * a check (torn write, CRC, a fingerprint other than *fingerprint
+ * when given) is not fatal: its reason is appended to @p reasons.
+ */
+const Parsed *
+newestUsable(const std::string &base, Parsed (&slots)[2],
+             const uint64_t *fingerprint, std::string &reasons)
+{
+    const Parsed *best = nullptr;
+    for (int slot = 0; slot < 2; ++slot) {
+        const std::string path =
+            checkpointGenerationPath(base, static_cast<uint64_t>(slot));
+        if (!fileExists(path))
+            continue;
+        std::string why;
+        Parsed &parsed = slots[slot];
+        if (!parseCheckpointFile(path, parsed, why))
+            reasons += (reasons.empty() ? "" : "; ") + path + ": " + why;
+        else if (fingerprint != nullptr &&
+                 parsed.header.fingerprint != *fingerprint)
+            reasons += (reasons.empty() ? "" : "; ") + path +
+                       ": config fingerprint mismatch";
+        else if (best == nullptr ||
+                 parsed.header.generation > best->header.generation)
+            best = &parsed;
+    }
+    return best;
+}
+
+/** The error when no slot of @p base is usable. */
+std::string
+noUsableCheckpoint(const std::string &base, const std::string &reasons)
+{
+    return "no usable checkpoint at " + base +
+           (reasons.empty() ? " (no generation files)"
+                            : " (" + reasons + ")");
 }
 
 } // namespace
@@ -214,54 +244,60 @@ bool
 writeStreamCheckpoint(const StreamService &service,
                       const std::string &base, uint64_t generation,
                       const std::string &meta, CheckpointInfo *info,
-                      std::string *error)
+                      std::string *error, CheckpointWriter *buffer)
 {
-    std::string file;
-    file.append(kMagic, sizeof kMagic);
-    const uint32_t version = kCheckpointVersion;
-    const uint64_t fingerprint = service.checkpointFingerprint();
+    CheckpointWriter local;
+    CheckpointWriter &w = buffer != nullptr ? *buffer : local;
+    w.clear();
     const uint64_t tick = service.now();
     const uint64_t digest = service.digest();
     const size_t shards =
         static_cast<size_t>(service.config().ingest.shards);
-    const uint32_t sectionCount = static_cast<uint32_t>(3 + shards);
-    file.append(reinterpret_cast<const char *>(&version),
-                sizeof version);
-    file.append(reinterpret_cast<const char *>(&fingerprint),
-                sizeof fingerprint);
-    file.append(reinterpret_cast<const char *>(&generation),
-                sizeof generation);
-    file.append(reinterpret_cast<const char *>(&tick), sizeof tick);
-    file.append(reinterpret_cast<const char *>(&digest), sizeof digest);
-    file.append(reinterpret_cast<const char *>(&sectionCount),
-                sizeof sectionCount);
+    w.bytes(kMagic, sizeof kMagic);
+    w.u32(kCheckpointVersion);
+    w.u64(service.checkpointFingerprint());
+    w.u64(generation);
+    w.u64(tick);
+    w.u64(digest);
+    w.u32(static_cast<uint32_t>(3 + shards));
 
-    {
-        CheckpointWriter w;
-        service.checkpointSaveIngest(w);
-        appendSection(file, kSecIngest, w.buffer());
-    }
+    // Each section is serialized in place behind its id and a length
+    // placeholder; one pass over its payload then yields the section
+    // CRC (from the basis) and advances the whole-file CRC, which
+    // chains over every byte and has reached offset `hashed`.
+    uint64_t fileCrc = fnv1aBasis;
+    size_t hashed = 0;
+    auto section = [&](uint32_t id, auto &&save) {
+        w.u32(id);
+        const size_t lengthAt = w.size();
+        w.u64(0);
+        const size_t payloadAt = w.size();
+        save();
+        const size_t length = w.size() - payloadAt;
+        w.patch(lengthAt, static_cast<uint64_t>(length));
+        fileCrc = fnv1a64(w.data() + hashed, payloadAt - hashed, fileCrc);
+        const auto [crc, file] = fnv1a64Pair(w.data() + payloadAt, length,
+                                             fnv1aBasis, fileCrc);
+        fileCrc = file;
+        hashed = payloadAt + length;
+        w.u64(crc);
+    };
+    section(kSecIngest, [&] { service.checkpointSaveIngest(w); });
     // Deterministic shard order: shard s is always section
     // kSecShardBase + s, whatever --jobs produced the state.
-    for (size_t s = 0; s < shards; ++s) {
-        CheckpointWriter w;
-        service.checkpointSaveShard(s, w);
-        appendSection(file, kSecShardBase + static_cast<uint32_t>(s),
-                      w.buffer());
-    }
-    {
-        CheckpointWriter w;
-        service.checkpointSaveService(w);
-        appendSection(file, kSecService, w.buffer());
-    }
-    appendSection(file, kSecMeta, meta);
+    for (size_t s = 0; s < shards; ++s)
+        section(kSecShardBase + static_cast<uint32_t>(s),
+                [&] { service.checkpointSaveShard(s, w); });
+    section(kSecService, [&] { service.checkpointSaveService(w); });
+    section(kSecMeta, [&] { w.bytes(meta.data(), meta.size()); });
+    fileCrc = fnv1a64(w.data() + hashed, w.size() - hashed, fileCrc);
 
     const std::string path = checkpointGenerationPath(base, generation);
     const bool ok = writeFileAtomic(
         path,
         [&](std::ostream &os) {
-            os.write(file.data(),
-                     static_cast<std::streamsize>(file.size()));
+            os.write(reinterpret_cast<const char *>(w.data()),
+                     static_cast<std::streamsize>(w.size()));
             return os.good();
         },
         error);
@@ -269,7 +305,7 @@ writeStreamCheckpoint(const StreamService &service,
         info->generation = generation;
         info->tick = tick;
         info->digest = digest;
-        info->crc = fnv1a64(file.data(), file.size());
+        info->crc = fileCrc;
         info->path = path;
     }
     return ok;
@@ -289,44 +325,16 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
     // check (torn write, CRC, foreign fingerprint) is a fallback
     // event, not a fatal.
     const uint64_t fingerprint = service.checkpointFingerprint();
-    std::vector<Parsed> valid;
+    Parsed slots[2];
     std::string reasons;
-    bool sawUnusable = false;
-    for (int slot = 0; slot < 2; ++slot) {
-        const std::string path =
-            checkpointGenerationPath(base, static_cast<uint64_t>(slot));
-        if (!fileExists(path))
-            continue;
-        Parsed parsed;
-        std::string why;
-        if (!parseCheckpointFile(path, parsed, why)) {
-            sawUnusable = true;
-            reasons += (reasons.empty() ? "" : "; ") + path + ": " + why;
-            continue;
-        }
-        if (parsed.header.fingerprint != fingerprint) {
-            sawUnusable = true;
-            reasons += (reasons.empty() ? "" : "; ") + path +
-                       ": config fingerprint mismatch";
-            continue;
-        }
-        valid.push_back(std::move(parsed));
-    }
-    if (valid.empty()) {
-        res.error = "no usable checkpoint at " + base +
-                    (reasons.empty() ? " (no generation files)"
-                                     : " (" + reasons + ")");
+    const Parsed *best = newestUsable(base, slots, &fingerprint, reasons);
+    if (best == nullptr) {
+        res.error = noUsableCheckpoint(base, reasons);
         return res;
     }
-    size_t best = 0;
-    for (size_t v = 1; v < valid.size(); ++v) {
-        if (valid[v].header.generation >
-            valid[best].header.generation)
-            best = v;
-    }
-    const Parsed &chosen = valid[best];
-    res.usedFallback = sawUnusable;
-    if (sawUnusable) {
+    const Parsed &chosen = *best;
+    res.usedFallback = !reasons.empty();
+    if (res.usedFallback) {
         res.warning = "falling back to generation " +
                       std::to_string(chosen.header.generation) + " (" +
                       reasons + ")";
@@ -337,7 +345,7 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
         static_cast<size_t>(service.config().ingest.shards);
     auto restoreSection = [&](uint32_t id, const char *what,
                               auto &&fn) -> bool {
-        const std::string *payload = chosen.section(id);
+        const std::string_view *payload = chosen.section(id);
         if (payload == nullptr) {
             res.error = std::string("missing section: ") + what;
             return false;
@@ -380,7 +388,7 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
                     "(digest/tick)";
         return res;
     }
-    if (const std::string *meta = chosen.section(kSecMeta))
+    if (const std::string_view *meta = chosen.section(kSecMeta))
         res.meta = *meta;
 
     service.checkpointRestoreFinish(chosen.header.generation,
@@ -399,33 +407,14 @@ peekStreamCheckpointMeta(const std::string &base, std::string *meta,
                          std::string *error)
 {
     Parsed slots[2];
-    bool usable[2] = {false, false};
     std::string reasons;
-    for (int slot = 0; slot < 2; ++slot) {
-        const std::string path =
-            checkpointGenerationPath(base, static_cast<uint64_t>(slot));
-        if (!fileExists(path))
-            continue;
-        std::string why;
-        usable[slot] = parseCheckpointFile(path, slots[slot], why);
-        if (!usable[slot])
-            reasons += (reasons.empty() ? "" : "; ") + path + ": " + why;
-    }
-    const Parsed *best = nullptr;
-    for (int slot = 0; slot < 2; ++slot) {
-        if (usable[slot] &&
-            (best == nullptr ||
-             slots[slot].header.generation > best->header.generation))
-            best = &slots[slot];
-    }
+    const Parsed *best = newestUsable(base, slots, nullptr, reasons);
     if (best == nullptr) {
         if (error != nullptr)
-            *error = "no usable checkpoint at " + base +
-                     (reasons.empty() ? " (no generation files)"
-                                      : " (" + reasons + ")");
+            *error = noUsableCheckpoint(base, reasons);
         return false;
     }
-    const std::string *payload = best->section(kSecMeta);
+    const std::string_view *payload = best->section(kSecMeta);
     if (meta != nullptr)
         *meta = payload != nullptr ? *payload : "";
     return true;
@@ -466,7 +455,7 @@ StreamCheckpointer::writeNow()
     CheckpointInfo info;
     std::string error;
     if (!writeStreamCheckpoint(service_, base_, generation, meta_,
-                               &info, &error)) {
+                               &info, &error, &buffer_)) {
         ++failures_;
         service_.noteCheckpointFailure(generation);
         warn("stream checkpoint: generation %llu failed: %s",

@@ -16,7 +16,7 @@
  * contract: a crash forgets at most `everyTicks` ticks of input,
  * never any state.
  *
- * Format ("TDPC", version 1, native endianness - a checkpoint is a
+ * Format ("TDPC", version 1, little-endian - a checkpoint is a
  * crash-recovery artefact for the machine that wrote it, not an
  * interchange format):
  *
@@ -25,7 +25,12 @@
  *   { id:u32 length:u64 payload[length] crc:u64 } x sectionCount
  *
  * Every section carries its own FNV-1a checksum, so a torn write is
- * detected wherever it lands. Publication goes through
+ * detected wherever it lands. The writer serializes the header and
+ * every section in place into one reused buffer, patching each
+ * section length in behind it, and one loop per section computes
+ * both that section's checksum and the running whole-file checksum
+ * (CheckpointInfo::crc); the loader checks both the same way over
+ * one sized read of the file. Publication goes through
  * writeFileAtomic (temp + fsync + rename + directory fsync) into a
  * two-generation rotation - generation g lands in `<base>.gen<g%2>`
  * - so the previous complete checkpoint always survives the next
@@ -47,6 +52,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/byte_writer.hh"
+
 namespace tdp {
 namespace obs {
 class RunManifest;
@@ -67,28 +74,11 @@ constexpr uint32_t kSecShardBase = 100; ///< + shard: sessions + ring
 /** @} */
 
 /**
- * Append-only little serializer the checkpointed classes write
- * themselves into. Values are stored as raw native bytes; doubles
- * go through their bit pattern so NaNs and -0.0 round-trip exactly.
+ * The serializer the checkpointed classes write themselves into:
+ * the shared ByteWriter, under the name their savers declare.
  */
-class CheckpointWriter
+class CheckpointWriter : public ByteWriter
 {
-  public:
-    void u8(uint8_t v) { append(&v, sizeof v); }
-    void u32(uint32_t v) { append(&v, sizeof v); }
-    void u64(uint64_t v) { append(&v, sizeof v); }
-    void f64(double v) { append(&v, sizeof v); }
-    void bytes(const void *p, size_t n) { append(p, n); }
-
-    const std::string &buffer() const { return buf_; }
-
-  private:
-    void append(const void *p, size_t n)
-    {
-        buf_.append(static_cast<const char *>(p), n);
-    }
-
-    std::string buf_;
 };
 
 /**
@@ -168,13 +158,16 @@ std::string checkpointGenerationPath(const std::string &base,
  * Serialize the full service state and atomically publish it as
  * generation @p generation of @p base. @p meta is an opaque payload
  * the restorer hands back (the sweep stores its phase identity
- * there). False on I/O failure with a one-line reason in *error;
- * the previous generation is never disturbed.
+ * there). The file is built in @p buffer when given (its contents
+ * are replaced, its allocation reused), else in a local one. False
+ * on I/O failure with a one-line reason in *error; the previous
+ * generation is never disturbed.
  */
 bool writeStreamCheckpoint(const StreamService &service,
                            const std::string &base, uint64_t generation,
                            const std::string &meta, CheckpointInfo *info,
-                           std::string *error);
+                           std::string *error,
+                           CheckpointWriter *buffer = nullptr);
 
 /** Outcome of one restore attempt. */
 struct RestoreResult
@@ -271,6 +264,9 @@ class StreamCheckpointer
     uint64_t written_ = 0;
     uint64_t failures_ = 0;
     CheckpointInfo last_;
+
+    /** File bytes of the latest write, kept for the next one. */
+    CheckpointWriter buffer_;
 };
 
 } // namespace stream

@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,29 @@ TEST(Checksum, SeedChainsAcrossSplits)
 {
     const uint64_t head = fnv1a64("foo", 3);
     EXPECT_EQ(fnv1a64("bar", 3, head), fnv1a64("foobar", 6));
+}
+
+TEST(Checksum, TwoLaneMatchesTwoCalls)
+{
+    // Every tail length a byte loop can mishandle, then one buffer
+    // the size of a stream_drift checkpoint.
+    std::vector<unsigned char> bytes(391495);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (unsigned char &b : bytes) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        b = static_cast<unsigned char>(x >> 56);
+    }
+    const uint64_t seedA = 0x0123456789abcdefull;
+    const uint64_t seedB = fnv1aBasis;
+    for (size_t len = 0; len <= 257; ++len) {
+        const auto [a, b] = fnv1a64Pair(bytes.data() + 3, len, seedA, seedB);
+        EXPECT_EQ(a, fnv1a64(bytes.data() + 3, len, seedA)) << len;
+        EXPECT_EQ(b, fnv1a64(bytes.data() + 3, len, seedB)) << len;
+    }
+    const auto [a, b] =
+        fnv1a64Pair(bytes.data(), bytes.size(), seedB, 0x5eedull);
+    EXPECT_EQ(a, fnv1a64(bytes.data(), bytes.size()));
+    EXPECT_EQ(b, fnv1a64(bytes.data(), bytes.size(), 0x5eedull));
 }
 
 TEST(Checksum, HashStringIsStable)

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/atomic_file.hh"
+#include "common/checksum.hh"
 #include "common/logging.hh"
 #include "stream/checkpoint.hh"
 #include "stream/service.hh"
@@ -461,6 +462,47 @@ TEST(StreamCheckpoint, BothGenerationsCorruptFailsCleanly)
     EXPECT_FALSE(peekStreamCheckpointMeta(base, &meta, &error));
 }
 
+// Corrupt count and length fields must read as a truncated file, not
+// drive a huge allocation or wrap the bounds check.
+TEST(StreamCheckpoint, CorruptLengthFieldsAreRejected)
+{
+    // magic, version, 4 x u64: then sectionCount, first section id
+    // and first section length.
+    const std::streamoff sectionCountAt = 4 + 4 + 4 * 8;
+    const std::streamoff firstLengthAt = sectionCountAt + 4 + 4;
+    const auto corrupt = [](const std::string &name, std::streamoff at,
+                            auto value) {
+        const std::string base = freshBase(name);
+        StreamService writer(baseConfig(), trainedEstimator());
+        CheckpointInfo info;
+        std::string error;
+        EXPECT_TRUE(writeStreamCheckpoint(writer, base, 1, "", &info,
+                                          &error))
+            << error;
+        std::fstream file(info.path, std::ios::binary | std::ios::in |
+                                         std::ios::out);
+        file.seekp(at);
+        file.write(reinterpret_cast<const char *>(&value), sizeof value);
+        EXPECT_TRUE(file.good());
+        file.close();
+        StreamService restored(baseConfig(), trainedEstimator());
+        return restoreStreamCheckpoint(restored, base);
+    };
+
+    const RestoreResult count =
+        corrupt("hugecount", sectionCountAt, ~uint32_t{0});
+    EXPECT_FALSE(count.ok);
+    EXPECT_NE(count.error.find("truncated section header"),
+              std::string::npos)
+        << count.error;
+
+    const RestoreResult length =
+        corrupt("hugelength", firstLengthAt, ~uint64_t{0} - 3);
+    EXPECT_FALSE(length.ok);
+    EXPECT_NE(length.error.find("truncated section"), std::string::npos)
+        << length.error;
+}
+
 TEST(StreamCheckpoint, EnospcFailureIsCountedAndNonFatal)
 {
     const std::string base = freshBase("enospc");
@@ -522,6 +564,55 @@ TEST(StreamCheckpoint, ExdevFallsBackToCrossFilesystemCopy)
     const RestoreResult res = restoreStreamCheckpoint(restored, base);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_FALSE(res.usedFallback);
+    EXPECT_EQ(restored.digest(), service.digest());
+}
+
+/** FNV-1a 64 of a whole file's bytes. */
+uint64_t
+fileDigest(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+// The TDPC bytes of a fixed service are pinned: a serializer change
+// must write the same file and report the same crc, or old
+// checkpoints stop restoring. The second generation goes through
+// the checkpointer's reused buffer. Recorded before the in-place
+// writer replaced the per-section strings.
+TEST(StreamCheckpoint, GoldenCheckpointDigest)
+{
+    const std::string base = freshBase("golden");
+    const int clients = 256;
+    StreamService service(baseConfig(), trainedEstimator());
+    const ExperimentPool pool(1);
+    Fleet fleet(clients, 40);
+    StreamCheckpointer checkpointer(service, base, 12);
+    checkpointer.setMeta("golden");
+    uint64_t crcs[2] = {0, 0};
+    for (int round = 0; round < 24; ++round) {
+        for (int c = 0; c < clients; ++c)
+            service.offer(
+                fleet.next(c, 0.1 + 0.8 * ((round + c) % 10) / 9.0));
+        service.tick(pool);
+        checkpointer.onTick();
+        if (service.now() % 12 == 0) {
+            const CheckpointInfo &info = checkpointer.last();
+            EXPECT_EQ(fileDigest(info.path), info.crc) << info.path;
+            crcs[info.generation - 1] = info.crc;
+        }
+    }
+    ASSERT_EQ(checkpointer.written(), 2u);
+    EXPECT_EQ(crcs[0], 0xac97e4b09bc1c37aull);
+    EXPECT_EQ(crcs[1], 0x9995cb9ce4f9ea24ull);
+
+    StreamService restored(baseConfig(), trainedEstimator());
+    const RestoreResult res = restoreStreamCheckpoint(restored, base);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.info.crc, crcs[1]);
+    EXPECT_EQ(res.meta, "golden");
     EXPECT_EQ(restored.digest(), service.digest());
 }
 
